@@ -12,12 +12,10 @@ from .coverage import CoverageMap, Rect
 from .geometry import (CameraIntrinsics, EnuPoint, Footprint, GeoOrigin,
                        footprint_corners_world, footprint_extent, manhattan,
                        point_in_footprint, position_step_delta)
-from .metrics import BatchConfig, Metrics, compute_metrics, export_heatmap
-from .missions import (FlightPlan, RunRecord, build_setup, execute_run,
-                       lawnmower_waypoints, run_hybrid, run_mission, run_offboard)
+from .metrics import Metrics, compute_metrics, export_heatmap
+from .missions import FlightPlan, RunRecord, build_setup, execute_run, lawnmower_waypoints
 from .model import (ActionCmd, GenerativeModel, ModelConfig, Observation, PomdpState,
-                    RewardParams, generate_observation, initial_belief, is_terminal,
-                    reward, transition)
+                    RewardParams, generate_observation, initial_belief, reward, transition)
 from .solver import (BeliefCollapseError, BeliefNode, ParticleBelief, SolverConfig,
                      advance_belief, bootstrap, plan_step)
 from .world import (DetectorProfile, GroundTruth, OccupancyGrid, Scenario,

@@ -49,8 +49,10 @@ def run_batch(scenario: Scenario, mode: str, runs: int, seed: int, *,
                           paper_literal_confidence=paper_literal)
               for i in range(runs)]
     if workers > 1:
+        # spawn, not fork: importing numpy already starts a BLAS thread, and
+        # a forked child copies any lock it holds without the thread itself
         import multiprocessing as mp
-        with mp.Pool(workers) as pool:
+        with mp.get_context("spawn").Pool(workers) as pool:
             return pool.map(execute_run, setups)
     return [execute_run(s) for s in setups]
 

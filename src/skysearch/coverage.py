@@ -78,16 +78,18 @@ class CoverageMap:
 
     # -- index helpers -------------------------------------------------
 
-    def _col_range(self, x_min: float, x_max: float) -> tuple[int, int]:
-        """Columns whose centres fall in [x_min, x_max], clipped to the map."""
-        lo = int(math.ceil((x_min - self.origin_x) / self.cell_size - 0.5))
-        hi = int(math.floor((x_max - self.origin_x) / self.cell_size - 0.5))
-        return max(lo, 0), min(hi, self.nx - 1)
-
-    def _row_range(self, y_min: float, y_max: float) -> tuple[int, int]:
-        lo = int(math.ceil((y_min - self.origin_y) / self.cell_size - 0.5))
-        hi = int(math.floor((y_max - self.origin_y) / self.cell_size - 0.5))
-        return max(lo, 0), min(hi, self.ny - 1)
+    def _window(self, x0: float, y0: float, x1: float, y1: float) -> tuple[int, int, int, int]:
+        """Rows ``r0..r1`` and columns ``c0..c1`` whose cell centres fall in
+        [x0, x1] x [y0, y1], clipped to the map (empty when r0 > r1 or
+        c0 > c1). Called twice per planner step, so it avoids helper calls."""
+        ox, oy, cs = self.origin_x, self.origin_y, self.cell_size
+        c0 = math.ceil((x0 - ox) / cs - 0.5)
+        c1 = math.floor((x1 - ox) / cs - 0.5)
+        r0 = math.ceil((y0 - oy) / cs - 0.5)
+        r1 = math.floor((y1 - oy) / cs - 0.5)
+        last_c, last_r = self.nx - 1, self.ny - 1
+        return (r0 if r0 > 0 else 0, r1 if r1 < last_r else last_r,
+                c0 if c0 > 0 else 0, c1 if c1 < last_c else last_c)
 
     def snapshot(self) -> np.ndarray:
         """Copy of the cell array for use as a search-time scratch view."""
@@ -101,33 +103,18 @@ class CoverageMap:
         Out-of-map portions are clipped silently. ``cells`` lets the planner
         stamp a private snapshot instead of the live map.
         """
-        target = self.cells if cells is None else cells
-        x0, y0, x1, y1 = fp.bbox()
-        c0, c1 = self._col_range(x0, x1)
-        r0, r1 = self._row_range(y0, y1)
-        if c0 > c1 or r0 > r1:
-            return
         if self._axis_aligned(fp):
-            target[r0:r1 + 1, c0:c1 + 1] = 1
+            self.stamp_rect(*fp.bbox(), cells)
             return
-        # general convex quad: vectorized half-plane test on cell centres
-        cx = self.origin_x + (np.arange(c0, c1 + 1) + 0.5) * self.cell_size
-        cy = self.origin_y + (np.arange(r0, r1 + 1) + 0.5) * self.cell_size
-        gx, gy = np.meshgrid(cx, cy)
-        inside = np.ones(gx.shape, dtype=bool)
-        cs = fp.corners
-        for i in range(len(cs)):
-            ax, ay = cs[i]
-            bx, by = cs[(i + 1) % len(cs)]
-            inside &= (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) >= -1e-12
-        target[r0:r1 + 1, c0:c1 + 1][inside] = 1
+        window, inside = self._quad_mask(fp, cells)
+        if window is not None:
+            window[inside] = 1
 
     def stamp_rect(self, x0: float, y0: float, x1: float, y1: float,
                    cells: np.ndarray | None = None) -> None:
         """Fast path for axis-aligned footprints (the yaw = 0 flight case)."""
         target = self.cells if cells is None else cells
-        c0, c1 = self._col_range(x0, x1)
-        r0, r1 = self._row_range(y0, y1)
+        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
         if c0 <= c1 and r0 <= r1:
             target[r0:r1 + 1, c0:c1 + 1] = 1
 
@@ -137,35 +124,19 @@ class CoverageMap:
         """Fraction of the footprint's cells already seen (0 virgin, 1 fully
         revisited). A footprint covering zero cells counts as fully seen so
         degenerate views are never rewarded."""
-        source = self.cells if cells is None else cells
-        x0, y0, x1, y1 = fp.bbox()
-        c0, c1 = self._col_range(x0, x1)
-        r0, r1 = self._row_range(y0, y1)
-        if c0 > c1 or r0 > r1:
-            return 1.0
         if self._axis_aligned(fp):
-            block = source[r0:r1 + 1, c0:c1 + 1]
-            return float(np.count_nonzero(block)) / block.size
-        cx = self.origin_x + (np.arange(c0, c1 + 1) + 0.5) * self.cell_size
-        cy = self.origin_y + (np.arange(r0, r1 + 1) + 0.5) * self.cell_size
-        gx, gy = np.meshgrid(cx, cy)
-        inside = np.ones(gx.shape, dtype=bool)
-        cs = fp.corners
-        for i in range(len(cs)):
-            ax, ay = cs[i]
-            bx, by = cs[(i + 1) % len(cs)]
-            inside &= (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) >= -1e-12
-        n = int(np.count_nonzero(inside))
+            return self.rect_overlap(*fp.bbox(), cells)
+        window, inside = self._quad_mask(fp, cells)
+        n = 0 if window is None else int(np.count_nonzero(inside))
         if n == 0:
             return 1.0
-        return float(np.count_nonzero(source[r0:r1 + 1, c0:c1 + 1][inside])) / n
+        return float(np.count_nonzero(window[inside])) / n
 
     def rect_overlap(self, x0: float, y0: float, x1: float, y1: float,
                      cells: np.ndarray | None = None) -> float:
         """`overlap_fraction` fast path for axis-aligned rectangles."""
         source = self.cells if cells is None else cells
-        c0, c1 = self._col_range(x0, x1)
-        r0, r1 = self._row_range(y0, y1)
+        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
         if c0 > c1 or r0 > r1:
             return 1.0
         block = source[r0:r1 + 1, c0:c1 + 1]
@@ -174,8 +145,7 @@ class CoverageMap:
     def coverage_ratio(self, survey: Rect | None = None) -> float:
         """Fraction of survey-area cells seen so far."""
         rect = self.survey if survey is None else survey
-        c0, c1 = self._col_range(rect.x_min, rect.x_max)
-        r0, r1 = self._row_range(rect.y_min, rect.y_max)
+        r0, r1, c0, c1 = self._window(rect.x_min, rect.y_min, rect.x_max, rect.y_max)
         if c0 > c1 or r0 > r1:
             return 0.0
         block = self.cells[r0:r1 + 1, c0:c1 + 1]
@@ -199,6 +169,27 @@ class CoverageMap:
                 fh.write(" ".join("255" if v else "0" for v in self.cells[iy]) + "\n")
 
     # -- internals -----------------------------------------------------
+
+    def _quad_mask(self, fp: Footprint, cells: np.ndarray | None):
+        """The window of ``cells`` under the footprint's bounding box and the
+        mask of its cells whose centres lie inside the (convex) footprint,
+        by a vectorized half-plane test; ``(None, None)`` when the box misses
+        the map."""
+        x0, y0, x1, y1 = fp.bbox()
+        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
+        if c0 > c1 or r0 > r1:
+            return None, None
+        cx = self.origin_x + (np.arange(c0, c1 + 1) + 0.5) * self.cell_size
+        cy = self.origin_y + (np.arange(r0, r1 + 1) + 0.5) * self.cell_size
+        gx, gy = np.meshgrid(cx, cy)
+        inside = np.ones(gx.shape, dtype=bool)
+        cs = fp.corners
+        for i in range(len(cs)):
+            ax, ay = cs[i]
+            bx, by = cs[(i + 1) % len(cs)]
+            inside &= (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) >= -1e-12
+        target = self.cells if cells is None else cells
+        return target[r0:r1 + 1, c0:c1 + 1], inside
 
     @staticmethod
     def _axis_aligned(fp: Footprint) -> bool:

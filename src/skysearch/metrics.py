@@ -10,7 +10,7 @@ run can be both a TP and an FP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,20 +33,6 @@ class Metrics:
     def row(self) -> list:
         return [self.mode, self.runs, self.tp_pct, self.fp_pct, self.fn_pct,
                 self.time_mean_s, self.time_sd_s, self.time_se_s, self.n_timed]
-
-
-@dataclass
-class BatchConfig:
-    scenario: str
-    modes: list[str] = field(default_factory=lambda: ["mission"])
-    runs: int = 5
-    master_seed: int = 0
-    out_dir: str | None = None
-    tolerance_m: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError("run count must be at least 1")
 
 
 def _time_stats(times: list[float]) -> tuple[float, float, float, int]:

@@ -5,8 +5,9 @@ offboard - pure planner flight from an all-area victim belief
 hybrid   - lawnmower survey that pauses for a planner-driven inspection
            whenever the detector reports something, then resumes
 
-Each run owns its world, RNG streams and coverage map, so batches can fan
-out across processes without shared state.
+Each run is one flight object that owns its RNG streams, wind, coverage
+map, record, pose and clock, so batches can fan out across processes
+without shared state.
 """
 
 from __future__ import annotations
@@ -21,26 +22,20 @@ from .geometry import CameraIntrinsics, EnuPoint, footprint_extent
 from .model import (ActionCmd, GenerativeModel, ModelConfig, PomdpState, RewardParams,
                     action_displacement, initial_belief, transition)
 from .solver import BeliefCollapseError, SolverConfig, advance_belief, bootstrap, plan_step
-from .world import DetectorProfile, GroundTruth, Scenario, WindProcess, sense
+from .world import DetectorProfile, Scenario, WindProcess, sense
 
 OUTCOMES = ("Confirmed", "SurveyCompleteNoVictim", "Timeout", "Crash", "OutOfBounds")
 
 
 @dataclass
 class FlightPlan:
-    """Ordered survey waypoints at constant altitude and speed."""
+    """Ordered survey waypoints at constant altitude; the flight flies them
+    at ``ModelConfig.speed``."""
 
     waypoints: list[EnuPoint]
     altitude: float = 16.0
-    speed: float = 2.0
     lane_spacing: float = 0.0
     lane_count: int = 1
-
-    def length(self) -> float:
-        total = 0.0
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            total += math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
-        return total
 
 
 @dataclass
@@ -79,7 +74,7 @@ class RunRecord:
 
 
 def lawnmower_waypoints(survey: Rect, cam: CameraIntrinsics, overlap: float = 0.30,
-                        altitude: float = 16.0, speed: float = 2.0) -> FlightPlan:
+                        altitude: float = 16.0) -> FlightPlan:
     """Boustrophedon legs parallel to the survey's long axis.
 
     Lane spacing is the cross-track footprint width shrunk by the requested
@@ -109,8 +104,8 @@ def lawnmower_waypoints(survey: Rect, cam: CameraIntrinsics, overlap: float = 0.
         for e in ends:
             waypoints.append(EnuPoint(e, lane, altitude) if along_x
                              else EnuPoint(lane, e, altitude))
-    return FlightPlan(waypoints, altitude=altitude, speed=speed,
-                      lane_spacing=spacing, lane_count=len(lanes))
+    return FlightPlan(waypoints, altitude=altitude, lane_spacing=spacing,
+                      lane_count=len(lanes))
 
 
 class _Follower:
@@ -193,74 +188,17 @@ def build_setup(scenario: Scenario, mode: str, seed, *,
 
 
 def execute_run(setup: RunSetup) -> RunRecord:
-    if setup.mode == "mission":
-        plan = lawnmower_waypoints(setup.cfg.survey, setup.cam,
-                                   altitude=setup.cfg.z_max, speed=setup.cfg.speed)
-        return run_mission(plan, setup.scenario.truth, setup.profile, setup)
+    """Fly one run in its own flight object and return its record."""
+    flight = _Flight(setup)
     if setup.mode == "offboard":
-        return run_offboard(setup.scenario.truth, setup.profile, setup)
-    plan = lawnmower_waypoints(setup.cfg.survey, setup.cam,
-                               altitude=setup.cfg.z_max, speed=setup.cfg.speed)
-    return run_hybrid(plan, setup.scenario.truth, setup.profile, setup)
-
-
-# ---------------------------------------------------------------------------
-# mission mode
-
-def run_mission(plan: FlightPlan, truth: GroundTruth, profile: DetectorProfile,
-                setup: RunSetup) -> RunRecord:
-    """Fly the survey plan, logging every detection at or above the minimum
-    confidence as a recorded victim coordinate. No inspection, no
-    confirmation threshold: this is the baseline's raw behaviour."""
-    cfg = setup.cfg
-    rec = RunRecord(mode=setup.mode, seed=setup.seed)
-    rng = Random(f"{setup.seed}:world")
-    wind = WindProcess(truth.wind_rate, truth.wind_mean_duration, Random(f"{setup.seed}:wind"))
-    cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
-    follow = _Follower(plan.waypoints)
-    pose = follow.pos
-    t = 0.0
-    rec.trajectory.append((t, pose.x, pose.y, pose.z))
-    rec.mode_events.append((t, "MissionLeg"))
-    _stamp_swept(cov, setup.cam, pose, pose)
-    step = plan.speed * cfg.dt
-    inflate = step + cfg.roi_slack
-    while True:
-        prev = pose
-        pose = follow.advance(step)
-        t += cfg.dt
-        _stamp_swept(cov, setup.cam, prev, pose)
-        rec.trajectory.append((t, pose.x, pose.y, pose.z))
-        if truth.obstacles.occupied(pose.x, pose.y, pose.z):
-            rec.outcome = "Crash"
-            break
-        if not _inside(pose, cfg.survey, inflate):
-            rec.outcome = "OutOfBounds"
-            break
-        obs = sense(pose, setup.cam, truth, profile, rng, prev_pose=prev,
-                    wind=wind, t0=t - cfg.dt, t1=t,
-                    est_noise_xy=cfg.est_noise_xy, est_noise_z=cfg.est_noise_z)
-        if obs.detected and obs.zeta >= cfg.zeta_min:
-            rec.detections.append((t, obs.pv_x, obs.pv_y, obs.zeta))
-            rec.recorded.append((obs.pv_x, obs.pv_y))
-        if follow.done:
-            rec.outcome = "Confirmed" if rec.recorded else "SurveyCompleteNoVictim"
-            break
-        if t >= cfg.t_max:
-            rec.outcome = "Timeout"
-            break
-    rec.elapsed_s = t
-    rec.coverage = cov.coverage_ratio()
-    return rec
+        return flight.offboard()
+    return flight.survey()
 
 
 def _inside(pose: EnuPoint, box: Rect, inflate: float) -> bool:
     return (box.x_min - inflate <= pose.x <= box.x_max + inflate
             and box.y_min - inflate <= pose.y <= box.y_max + inflate)
 
-
-# ---------------------------------------------------------------------------
-# offboard mode
 
 def _allowed_actions(pose: EnuPoint, cfg: ModelConfig, cam: CameraIntrinsics) -> list[int]:
     """Actions whose nominal set-point the motion server would accept
@@ -276,49 +214,175 @@ def _allowed_actions(pose: EnuPoint, cfg: ModelConfig, cam: CameraIntrinsics) ->
     return allowed or [int(ActionCmd.HOVER)]
 
 
-class _PlannerFlight:
-    """Shared planner-in-the-loop flight segment used by offboard mode and
-    by hybrid inspection sub-episodes."""
+# planner-loop events that end an offboard flight; the rest are Timeout
+_OFFBOARD_OUTCOMES = {"confirmed": "Confirmed", "survey_done": "SurveyCompleteNoVictim",
+                      "crash": "Crash", "out": "OutOfBounds"}
 
-    def __init__(self, setup: RunSetup, truth: GroundTruth, profile: DetectorProfile,
-                 cov: CoverageMap, rng_world: Random, rng_solver: Random,
-                 wind: WindProcess, rec: RunRecord):
-        self.setup = setup
-        self.truth = truth
-        self.profile = profile
-        self.cov = cov
-        self.rng_world = rng_world
-        self.rng_solver = rng_solver
-        self.wind = wind
-        self.rec = rec
 
-    def fly(self, pose: EnuPoint, t: float, *, region, victim_prior: float,
-            detection: tuple | None, max_steps: int,
-            discard_mass: float | None) -> tuple[str, EnuPoint, float]:
-        """Run the plan/act/sense/update loop until a terminal event.
+class _Flight:
+    """One run: its setup, the ``:world``/``:solver``/``:wind`` RNG streams,
+    the wind process, the coverage map, the record, and the pose and clock.
 
-        Returns (event, pose, t) where event is one of ``confirmed``,
-        ``discarded``, ``cap``, ``timeout``, ``crash``, ``out``,
-        ``survey_done``, ``collapse``.
-        """
-        setup, cfg = self.setup, self.setup.cfg
+    Every mode moves through the same tick (``move``), senses through the
+    same call (``observe``) and ends through ``finish``. Mission and hybrid
+    share the survey loop and differ only in the detection policy; offboard
+    and hybrid inspections share the planner loop.
+    """
+
+    def __init__(self, setup: RunSetup):
+        cfg, truth = setup.cfg, setup.scenario.truth
+        self.setup, self.cfg, self.truth = setup, cfg, truth
+        self.rec = RunRecord(mode=setup.mode, seed=setup.seed)
+        self.rng_world = Random(f"{setup.seed}:world")
+        self.rng_solver = Random(f"{setup.seed}:solver")
+        self.wind = WindProcess(truth.wind_rate, truth.wind_mean_duration,
+                                Random(f"{setup.seed}:wind"))
+        self.cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
+        self.step = cfg.speed * cfg.dt
+        self.inflate = self.step + cfg.roi_slack
+        self.pose = self.prev = None
+        self.t = 0.0
+
+    # -- shared pieces ---------------------------------------------------
+
+    def start(self, pose: EnuPoint, event: str) -> None:
+        """Place the UAV at its start pose at t = 0 and stamp its first view."""
+        self.pose = pose
+        self.rec.trajectory.append((self.t, pose.x, pose.y, pose.z))
+        self.rec.mode_events.append((self.t, event))
+        _stamp_swept(self.cov, self.setup.cam, pose, pose)
+
+    def move(self, pose: EnuPoint) -> None:
+        """One tick: advance the clock, stamp the swept corridor, log the pose."""
+        self.prev, self.pose = self.pose, pose
+        self.t += self.cfg.dt
+        _stamp_swept(self.cov, self.setup.cam, self.prev, pose)
+        self.rec.trajectory.append((self.t, pose.x, pose.y, pose.z))
+
+    def observe(self):
+        """The detector's report on the tick that just ended."""
+        setup, cfg = self.setup, self.cfg
+        return sense(self.pose, setup.cam, self.truth, setup.profile, self.rng_world,
+                     prev_pose=self.prev, wind=self.wind, t0=self.t - cfg.dt, t1=self.t,
+                     est_noise_xy=cfg.est_noise_xy, est_noise_z=cfg.est_noise_z)
+
+    def finish(self, outcome: str, done_event: bool) -> RunRecord:
+        rec = self.rec
+        rec.outcome = outcome
+        if done_event:
+            rec.mode_events.append((self.t, f"Done({outcome})"))
+        rec.elapsed_s = self.t
+        rec.coverage = self.cov.coverage_ratio()
+        return rec
+
+    # -- survey loop (mission, hybrid) -----------------------------------
+
+    def survey(self) -> RunRecord:
+        """Fly the lawnmower plan. Mission logs every detection at or above
+        the minimum confidence as a recorded victim coordinate (the
+        baseline's raw behaviour); hybrid pauses for an inspection on each
+        fresh detection the pass itself does not confirm."""
+        setup, cfg = self.setup, self.cfg
+        hybrid = setup.mode == "hybrid"
+        follow = _Follower(lawnmower_waypoints(cfg.survey, setup.cam,
+                                               altitude=cfg.z_max).waypoints)
+        self.start(follow.pos, "MissionLeg")
+        on_detection = self._inspect if hybrid else self._log
+        while True:
+            self.move(follow.advance(self.step))
+            pose = self.pose
+            if self.truth.obstacles.occupied(pose.x, pose.y, pose.z):
+                return self.finish("Crash", False)
+            if not _inside(pose, cfg.survey, self.inflate):
+                return self.finish("OutOfBounds", False)
+            event = on_detection(self.observe())
+            if event == "crash":
+                return self.finish("Crash", False)
+            if event == "timeout" or follow.done or self.t >= cfg.t_max:
+                break
+        timed_out = event == "timeout" or not follow.done
+        # mission counts its log only once the plan is flown; hybrid counts
+        # any confirmation
+        if self.rec.recorded and (hybrid or not timed_out):
+            return self.finish("Confirmed", hybrid)
+        return self.finish("Timeout" if timed_out else "SurveyCompleteNoVictim", hybrid)
+
+    def _log(self, obs) -> None:
+        if obs.detected and obs.zeta >= self.cfg.zeta_min:
+            self.rec.detections.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
+            self.rec.recorded.append((obs.pv_x, obs.pv_y))
+
+    def _inspect(self, obs) -> str | None:
+        """Hybrid detection policy. A fresh detection (not near an already
+        confirmed coordinate) is confirmed on the pass when it clears the
+        bar; otherwise a planner inspection over a camera-footprint patch
+        centred on it runs, then the UAV returns to the pause point.
+        Returns ``timeout`` or ``crash`` when the flight must end."""
+        setup, cfg, rec = self.setup, self.cfg, self.rec
+        if not (obs.detected and obs.zeta >= cfg.zeta_min) or _near_any(
+                obs.pv_x, obs.pv_y, rec.recorded, setup.confirm_suppress_radius):
+            return None
+        rec.detections.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
+        if obs.zeta >= cfg.zeta:
+            rec.confirmations.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
+            rec.recorded.append((obs.pv_x, obs.pv_y))
+            return None
+        resume = self.pose
+        rec.mode_events.append((self.t, "HybridInspecting"))
+        l_top, l_bottom, l_left, l_right = footprint_extent(resume.z, setup.cam)
+        region = Rect(obs.pv_x + l_left, obs.pv_y + l_bottom,
+                      obs.pv_x + l_right, obs.pv_y + l_top)
+        event = self.plan(region, setup.inspect_prior,
+                          detection=(obs.pv_x, obs.pv_y, obs.zeta),
+                          max_steps=setup.inspect_step_cap,
+                          discard_mass=setup.discard_present_mass)
+        if event in ("timeout", "crash"):
+            return event
+        # every other inspection end resumes the survey; the return leg
+        # keeps the detector running but skips the crash and bounds checks
+        back = _Follower([self.pose, resume])
+        while not back.done:
+            self.move(back.advance(self.step))
+            self.observe()
+            if self.t >= cfg.t_max:
+                break
+        rec.mode_events.append((self.t, "MissionLeg"))
+        return "timeout" if self.t >= cfg.t_max else None
+
+    # -- planner loop (offboard, hybrid inspections) ---------------------
+
+    def offboard(self) -> RunRecord:
+        """Planner-only flight: all-area victim belief, plan/act/sense loop
+        until confirmation, survey completion or the clock."""
+        survey = self.cfg.survey
+        inset = min(1.0, survey.width / 4, survey.height / 4)
+        self.start(EnuPoint(survey.x_min + inset, survey.y_min + inset, self.cfg.z_max),
+                   "OffboardPlanning")
+        event = self.plan(survey, 1.0)
+        return self.finish(_OFFBOARD_OUTCOMES.get(event, "Timeout"), True)
+
+    def plan(self, region: Rect, victim_prior: float, *, detection: tuple | None = None,
+             max_steps: int = 1 << 30, discard_mass: float | None = None) -> str:
+        """Run the plan/act/sense/update loop from the current pose until a
+        terminal event: ``confirmed``, ``discarded``, ``cap``, ``timeout``,
+        ``crash``, ``out``, ``survey_done`` or ``collapse``."""
+        setup, cfg, rec = self.setup, self.cfg, self.rec
         model = GenerativeModel(cfg, setup.params, setup.cam,
                                 occupancy=self.truth.obstacles, cov_map=self.cov,
                                 prior_region=region, victim_prior=max(victim_prior, 1e-9))
         belief = initial_belief(cfg, setup.solver_cfg.n_particles, self.rng_solver,
-                                start=pose, region=region,
+                                start=self.pose, region=region,
                                 victim_present_prior=victim_prior, detection=detection)
         root = bootstrap(model, belief, setup.solver_cfg, self.rng_solver)
-        t += cfg.dt  # offline bootstrap tick
+        self.t += cfg.dt  # offline bootstrap tick
         reinits = 0
         steps = 0
-        inflate = cfg.speed * cfg.dt + cfg.roi_slack
         while True:
-            if t >= cfg.t_max:
-                return "timeout", pose, t
+            if self.t >= cfg.t_max:
+                return "timeout"
             if steps >= max_steps:
-                return "cap", pose, t
-            allowed = _allowed_actions(pose, cfg, setup.cam)
+                return "cap"
+            allowed = _allowed_actions(self.pose, cfg, setup.cam)
             particles = root.belief.particles
             engaged = sum(p.f_dct for p in particles) >= 0.25 * len(particles)
             scfg = setup.solver_cfg
@@ -333,193 +397,47 @@ class _PlannerFlight:
                                max_depth=min(scfg.max_depth, 4))
             action = plan_step(root, model, scfg, self.rng_solver,
                                allowed=allowed, episodes=episodes)
-            planned_q = root_q(root)
+            planned_q = root.q_values()
             n_particles = len(root.belief.particles)
-            prev = pose
+            pose = self.pose
             state = PomdpState(pose.x, pose.y, pose.z, victim_present=False)
             state = transition(state, ActionCmd(action), cfg, setup.cam,
                                self.truth.obstacles, self.rng_world, geofence=True)
-            pose = EnuPoint(state.x, state.y, state.z)
-            t += cfg.dt
+            self.move(EnuPoint(state.x, state.y, state.z))
             steps += 1
-            _stamp_swept(self.cov, setup.cam, prev, pose)
-            self.rec.trajectory.append((t, pose.x, pose.y, pose.z))
             if state.f_crash:
-                return "crash", pose, t
-            if not _inside(pose, cfg.survey, inflate):
-                return "out", pose, t
-            obs = sense(pose, setup.cam, self.truth, self.profile, self.rng_world,
-                        prev_pose=prev, wind=self.wind, t0=t - cfg.dt, t1=t,
-                        est_noise_xy=cfg.est_noise_xy, est_noise_z=cfg.est_noise_z)
+                return "crash"
+            if not _inside(self.pose, cfg.survey, self.inflate):
+                return "out"
+            obs = self.observe()
             if obs.detected and obs.zeta >= cfg.zeta_min:
-                self.rec.detections.append((t, obs.pv_x, obs.pv_y, obs.zeta))
+                rec.detections.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
             if obs.detected and obs.zeta >= cfg.zeta:
-                self.rec.confirmations.append((t, obs.pv_x, obs.pv_y, obs.zeta))
-                self.rec.recorded.append((obs.pv_x, obs.pv_y))
-                return "confirmed", pose, t
+                rec.confirmations.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
+                rec.recorded.append((obs.pv_x, obs.pv_y))
+                return "confirmed"
             try:
                 root = advance_belief(root, action, obs, model,
                                       setup.solver_cfg, self.rng_solver)
             except BeliefCollapseError:
                 reinits += 1
                 if reinits > 1:
-                    return "collapse", pose, t
+                    return "collapse"
                 belief = initial_belief(cfg, setup.solver_cfg.n_particles,
-                                        self.rng_solver, start=pose, region=region,
+                                        self.rng_solver, start=self.pose, region=region,
                                         victim_present_prior=victim_prior,
                                         detection=None)
                 root = bootstrap(model, belief, setup.solver_cfg, self.rng_solver)
-                t += cfg.dt
+                self.t += cfg.dt
                 continue
             belief_now = root.belief
-            self.rec.solver_trace.append({
-                "t": t, "action": ActionCmd(action).name,
+            rec.solver_trace.append({
+                "t": self.t, "action": ActionCmd(action).name,
                 "q": [round(q, 3) if q == q else None for q in planned_q],
                 "particles": n_particles, "episodes": episodes,
                 "survival": round(belief_now.survival_rate, 4)})
             if (discard_mass is not None
                     and belief_now.evidence_present_frac < discard_mass):
-                return "discarded", pose, t
+                return "discarded"
             if self.cov.coverage_ratio() >= cfg.coverage_done:
-                return "survey_done", pose, t
-
-
-def root_q(root) -> list[float]:
-    return [e.q if e is not None and e.n else math.nan for e in root.edges]
-
-
-def run_offboard(truth: GroundTruth, profile: DetectorProfile, setup: RunSetup,
-                 start: EnuPoint | None = None) -> RunRecord:
-    """Planner-only flight: all-area victim belief, plan/act/sense loop
-    until confirmation, survey completion or the clock."""
-    cfg = setup.cfg
-    rec = RunRecord(mode=setup.mode, seed=setup.seed)
-    rng_world = Random(f"{setup.seed}:world")
-    rng_solver = Random(f"{setup.seed}:solver")
-    wind = WindProcess(truth.wind_rate, truth.wind_mean_duration, Random(f"{setup.seed}:wind"))
-    cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
-    if start is None:
-        inset = min(1.0, cfg.survey.width / 4, cfg.survey.height / 4)
-        start = EnuPoint(cfg.survey.x_min + inset, cfg.survey.y_min + inset, cfg.z_max)
-    pose = start
-    t = 0.0
-    rec.trajectory.append((t, pose.x, pose.y, pose.z))
-    rec.mode_events.append((t, "OffboardPlanning"))
-    _stamp_swept(cov, setup.cam, pose, pose)
-    flight = _PlannerFlight(setup, truth, profile, cov, rng_world, rng_solver, wind, rec)
-    event, pose, t = flight.fly(pose, t, region=cfg.survey, victim_prior=1.0,
-                                detection=None, max_steps=1 << 30, discard_mass=None)
-    rec.outcome = {
-        "confirmed": "Confirmed", "survey_done": "SurveyCompleteNoVictim",
-        "timeout": "Timeout", "collapse": "Timeout", "crash": "Crash",
-        "out": "OutOfBounds", "cap": "Timeout", "discarded": "Timeout",
-    }[event]
-    rec.elapsed_s = t
-    rec.coverage = cov.coverage_ratio()
-    rec.mode_events.append((t, f"Done({rec.outcome})"))
-    return rec
-
-
-# ---------------------------------------------------------------------------
-# hybrid mode
-
-def run_hybrid(plan: FlightPlan, truth: GroundTruth, profile: DetectorProfile,
-               setup: RunSetup) -> RunRecord:
-    """Survey like mission mode, but on each fresh detection pause the plan,
-    run a planner inspection over the camera's footprint until the target is
-    confirmed or discarded, then return to the pause point and resume."""
-    cfg = setup.cfg
-    rec = RunRecord(mode=setup.mode, seed=setup.seed)
-    rng_world = Random(f"{setup.seed}:world")
-    rng_solver = Random(f"{setup.seed}:solver")
-    wind = WindProcess(truth.wind_rate, truth.wind_mean_duration, Random(f"{setup.seed}:wind"))
-    cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
-    follow = _Follower(plan.waypoints)
-    pose = follow.pos
-    t = 0.0
-    rec.trajectory.append((t, pose.x, pose.y, pose.z))
-    rec.mode_events.append((t, "MissionLeg"))
-    _stamp_swept(cov, setup.cam, pose, pose)
-    step = plan.speed * cfg.dt
-    inflate = step + cfg.roi_slack
-    flight = _PlannerFlight(setup, truth, profile, cov, rng_world, rng_solver, wind, rec)
-    timed_out = False
-    while True:
-        prev = pose
-        pose = follow.advance(step)
-        t += cfg.dt
-        _stamp_swept(cov, setup.cam, prev, pose)
-        rec.trajectory.append((t, pose.x, pose.y, pose.z))
-        if truth.obstacles.occupied(pose.x, pose.y, pose.z):
-            rec.outcome = "Crash"
-            rec.elapsed_s = t
-            rec.coverage = cov.coverage_ratio()
-            return rec
-        if not _inside(pose, cfg.survey, inflate):
-            rec.outcome = "OutOfBounds"
-            rec.elapsed_s = t
-            rec.coverage = cov.coverage_ratio()
-            return rec
-        obs = sense(pose, setup.cam, truth, profile, rng_world, prev_pose=prev,
-                    wind=wind, t0=t - cfg.dt, t1=t,
-                    est_noise_xy=cfg.est_noise_xy, est_noise_z=cfg.est_noise_z)
-        fresh = (obs.detected and obs.zeta >= cfg.zeta_min
-                 and not _near_any(obs.pv_x, obs.pv_y, rec.recorded,
-                                   setup.confirm_suppress_radius))
-        if fresh:
-            rec.detections.append((t, obs.pv_x, obs.pv_y, obs.zeta))
-        if fresh and obs.zeta >= cfg.zeta:
-            # the survey pass itself cleared the confirmation bar
-            rec.confirmations.append((t, obs.pv_x, obs.pv_y, obs.zeta))
-            rec.recorded.append((obs.pv_x, obs.pv_y))
-            fresh = False
-        if fresh:
-            resume = pose
-            rec.mode_events.append((t, "HybridInspecting"))
-            # inspect a FOV-sized patch centred on the reported detection
-            l_top, l_bottom, l_left, l_right = footprint_extent(pose.z, setup.cam)
-            region = Rect(obs.pv_x + l_left, obs.pv_y + l_bottom,
-                          obs.pv_x + l_right, obs.pv_y + l_top)
-            event, pose, t = flight.fly(
-                pose, t, region=region, victim_prior=setup.inspect_prior,
-                detection=(obs.pv_x, obs.pv_y, obs.zeta),
-                max_steps=setup.inspect_step_cap,
-                discard_mass=setup.discard_present_mass)
-            if event == "timeout":
-                timed_out = True
-                break
-            if event == "crash":
-                rec.outcome = "Crash"
-                rec.elapsed_s = t
-                rec.coverage = cov.coverage_ratio()
-                return rec
-            # return to the pause point and carry on surveying
-            back = _Follower([pose, resume])
-            while not back.done:
-                p2 = back.advance(step)
-                t += cfg.dt
-                _stamp_swept(cov, setup.cam, pose, p2)
-                rec.trajectory.append((t, p2.x, p2.y, p2.z))
-                sense(p2, setup.cam, truth, profile, rng_world, prev_pose=pose,
-                      wind=wind, t0=t - cfg.dt, t1=t,
-                      est_noise_xy=cfg.est_noise_xy, est_noise_z=cfg.est_noise_z)
-                pose = p2
-                if t >= cfg.t_max:
-                    timed_out = True
-                    break
-            rec.mode_events.append((t, "MissionLeg"))
-            if timed_out:
-                break
-        if follow.done or t >= cfg.t_max:
-            timed_out = t >= cfg.t_max and not follow.done
-            break
-    if rec.confirmations:
-        rec.outcome = "Confirmed"
-    elif timed_out:
-        rec.outcome = "Timeout"
-    else:
-        rec.outcome = "SurveyCompleteNoVictim"
-    rec.mode_events.append((t, f"Done({rec.outcome})"))
-    rec.elapsed_s = t
-    rec.coverage = cov.coverage_ratio()
-    return rec
+                return "survey_done"

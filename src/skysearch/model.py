@@ -32,6 +32,12 @@ class ActionCmd(IntEnum):
     HOVER = 6
 
 
+# the members by position and as plain globals: ``ActionCmd(a)`` and
+# ``ActionCmd.HOVER`` each cost a few hundred ns, paid on every planner step
+_ACTIONS = tuple(ActionCmd)
+_FORWARD, _BACKWARD, _LEFT, _RIGHT, _UP, _DOWN, _HOVER = _ACTIONS
+
+
 @dataclass(frozen=True, slots=True)
 class PomdpState:
     """UAV pose plus mission flags and the victim hypothesis.
@@ -52,10 +58,6 @@ class PomdpState:
     victim_y: float = 0.0
     victim_present: bool = True
     c_v: float = 0.0
-
-    @property
-    def pos(self) -> EnuPoint:
-        return EnuPoint(self.x, self.y, self.z)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +135,10 @@ class ModelConfig:
             raise ValueError("discount factor must be in (0, 1]")
         if not self.zeta_min < self.zeta <= 1.0:
             raise ValueError("need zeta_min < zeta <= 1")
+        if not self.dt > 0.0:
+            raise ValueError("tick length dt must be positive")
+        if not self.conf_bin > 0.0:
+            raise ValueError("confidence bin width conf_bin must be positive")
 
     def apply_overrides(self, kv: dict) -> "ModelConfig":
         """New config with any matching keys from a parsed key-value file."""
@@ -195,18 +201,18 @@ def step_lengths(z: float, cam: CameraIntrinsics, cfg: ModelConfig) -> tuple[flo
 
 def action_displacement(a: ActionCmd, z: float, cam: CameraIntrinsics,
                         cfg: ModelConfig) -> tuple[float, float, float]:
-    if a == ActionCmd.HOVER:
+    if a == _HOVER:
         return 0.0, 0.0, 0.0
-    if a == ActionCmd.UP:
+    if a == _UP:
         return 0.0, 0.0, cfg.climb_step
-    if a == ActionCmd.DOWN:
+    if a == _DOWN:
         return 0.0, 0.0, -cfg.climb_step
     dx, dy = step_lengths(z, cam, cfg)
-    if a == ActionCmd.FORWARD:
+    if a == _FORWARD:
         return dx, 0.0, 0.0
-    if a == ActionCmd.BACKWARD:
+    if a == _BACKWARD:
         return -dx, 0.0, 0.0
-    if a == ActionCmd.LEFT:
+    if a == _LEFT:
         return 0.0, dy, 0.0
     return 0.0, -dy, 0.0
 
@@ -271,7 +277,7 @@ def reward(state: PomdpState, a: ActionCmd, eps: float, d_v: float, d_w: float,
     if state.f_dct:
         r = params.detect
         r += params.detect * (1.0 - alt_frac)
-        if state.c_v >= cfg.zeta and a == ActionCmd.DOWN:
+        if state.c_v >= cfg.zeta and a == _DOWN:
             r += params.confirm
         return r
     r = params.action
@@ -319,15 +325,6 @@ def obs_key(obs: Observation, cfg: ModelConfig) -> tuple:
         det = None
     return (int(math.floor(obs.pu_x / cell)), int(math.floor(obs.pu_y / cell)),
             int(math.floor(obs.pu_z / cell)), det, obs.obstacle_ahead)
-
-
-def is_terminal(s: PomdpState, cfg: ModelConfig, elapsed: float = 0.0,
-                survey_complete: bool = False) -> bool:
-    """Terminal when confidence passes the confirmation threshold, the UAV
-    crashed or left the flying limits, the clock ran out, or the survey
-    finished without a find."""
-    return (s.c_v >= cfg.zeta or s.f_crash or s.f_roi
-            or elapsed >= cfg.t_max or survey_complete)
 
 
 def initial_belief(cfg: ModelConfig, n_particles: int, rng: Random, *,
@@ -444,7 +441,7 @@ class GenerativeModel:
     def step(self, s: PomdpState, a: int, rng: Random, scratch):
         """Sample (next state, observation key, reward, terminal)."""
         cfg = self.cfg
-        act = ActionCmd(a)
+        act = _ACTIONS[a]
         s2 = transition(s, act, cfg, self.cam, self.occupancy, rng)
         key = self._observe_key(s2, act, rng)
         if s2.f_crash or s2.f_roi:
@@ -461,12 +458,11 @@ class GenerativeModel:
             else:
                 d_v = self.d_w
         r = reward(s2, act, eps, d_v, self.d_w, self.params, cfg)
-        terminal = s2.c_v >= cfg.zeta or s2.f_crash or s2.f_roi
-        return s2, key, r, terminal
+        return s2, key, r, self.is_terminal(s2)
 
     def resimulate(self, s: PomdpState, a: int, rng: Random):
         """Transition + observation only, for belief rejection filtering."""
-        act = ActionCmd(a)
+        act = _ACTIONS[a]
         s2 = transition(s, act, self.cfg, self.cam, self.occupancy, rng)
         return s2, self._observe_key(s2, act, rng)
 
@@ -474,6 +470,9 @@ class GenerativeModel:
         return obs_key(obs, self.cfg)
 
     def is_terminal(self, s: PomdpState) -> bool:
+        """Terminal when confidence passes the confirmation threshold or the
+        UAV crashed or left the flying limits. The clock and survey
+        completion belong to the flight loops."""
         return s.c_v >= self.cfg.zeta or s.f_crash or s.f_roi
 
     def reinvigorate(self, obs: Observation, donors, rng: Random) -> PomdpState:

@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, exit codes, reproducible outputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from skysearch import cli
 from skysearch.solver import BeliefCollapseError
+
+SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
 
 def run_cli(args, tmp_path, sub="run"):
@@ -71,11 +74,12 @@ class TestBatchAndCompare:
         assert float(row[2]) == pytest.approx(m.tp_pct)
         assert float(row[3]) == pytest.approx(m.fp_pct)
 
-    def test_worker_pool_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_worker_pool_matches_serial(self, mode):
         from skysearch.world import load_scenario
         sc = load_scenario("l1")
-        serial = cli.run_batch(sc, "mission", 4, 9, workers=1)
-        pooled = cli.run_batch(sc, "mission", 4, 9, workers=2)
+        serial = cli.run_batch(sc, mode, 2, 9, workers=1)
+        pooled = cli.run_batch(sc, mode, 2, 9, workers=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
 
     def test_heatmap_command(self, tmp_path):
@@ -112,6 +116,22 @@ class TestExitCodes:
         code = cli.cli_main(["run", "--scenario", "l1", "--mode", "offboard",
                              "--out", str(tmp_path)])
         assert code == 3
+
+    @staticmethod
+    def run_with_override(tmp_path, mode, line):
+        scn = tmp_path / "bad.scn"
+        scn.write_text((SCENARIOS / "l1.scn").read_text() + line + "\n")
+        return cli.cli_main(["run", "--scenario", str(scn), "--mode", mode,
+                             "--seed", "1", "--out", str(tmp_path / "out")])
+
+    def test_zero_dt_rejected(self, tmp_path, capsys):
+        # a zero tick would never advance the survey or the clock
+        assert self.run_with_override(tmp_path, "mission", "dt = 0") == 2
+        assert "dt" in capsys.readouterr().err
+
+    def test_zero_conf_bin_rejected(self, tmp_path, capsys):
+        assert self.run_with_override(tmp_path, "offboard", "conf_bin = 0") == 2
+        assert "conf_bin" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli.cli_main(["--help"]) == 0

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from skysearch.coverage import Rect
-from skysearch.metrics import (BatchConfig, compute_metrics, export_heatmap,
-                               metrics_table, write_heatmap_csv, write_heatmap_pgm,
-                               write_metrics_csv)
+from skysearch.metrics import (compute_metrics, export_heatmap, metrics_table,
+                               write_heatmap_csv, write_heatmap_pgm, write_metrics_csv)
 from skysearch.missions import RunRecord
 
 VICTIMS = [(10.0, 3.0, 0.0)]
@@ -87,10 +86,6 @@ class TestComputeMetrics:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             compute_metrics([], VICTIMS)
-
-    def test_batch_config_validation(self):
-        with pytest.raises(ValueError):
-            BatchConfig(scenario="l1", runs=0)
 
 
 class TestHeatmap:

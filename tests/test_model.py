@@ -13,7 +13,7 @@ from skysearch.geometry import CameraIntrinsics, EnuPoint, footprint_corners_wor
 from skysearch.model import (ActionCmd, GenerativeModel, ModelConfig, Observation,
                              PomdpState, RewardParams, action_displacement,
                              confidence_paper_literal, confidence_proximity,
-                             generate_observation, initial_belief, is_terminal,
+                             generate_observation, initial_belief,
                              modeled_confidence, obs_key, reward, transition)
 from skysearch.world import OccupancyGrid
 
@@ -207,18 +207,20 @@ class TestObservation:
 
 
 class TestTerminal:
+    # the model's terminal rule; the flight loops own the clock and survey
+    # completion (see test_missions)
+    MODEL = GenerativeModel(CFG, RP, CAM)
+
     def test_confidence_threshold_boundary(self):
-        assert is_terminal(state(dct=True, c_v=0.85), CFG)
-        assert not is_terminal(state(dct=True, c_v=0.8499), CFG)
+        assert self.MODEL.is_terminal(state(dct=True, c_v=0.85))
+        assert not self.MODEL.is_terminal(state(dct=True, c_v=0.8499))
 
     def test_fresh_state_not_terminal(self):
-        assert not is_terminal(state(), CFG)
+        assert not self.MODEL.is_terminal(state())
 
     def test_flags_and_clock(self):
-        assert is_terminal(state(crash=True), CFG)
-        assert is_terminal(state(roi=True), CFG)
-        assert is_terminal(state(), CFG, elapsed=600.0)
-        assert is_terminal(state(), CFG, survey_complete=True)
+        assert self.MODEL.is_terminal(state(crash=True))
+        assert self.MODEL.is_terminal(state(roi=True))
 
 
 class TestInitialBelief:
