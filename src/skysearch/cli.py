@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .configio import ConfigError
@@ -32,22 +33,22 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _seed_for(args, scenario: Scenario) -> int:
+def _load(args) -> Scenario:
+    """The scenario file with ``--seed`` and ``--paper-literal-confidence`` applied."""
+    scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        return args.seed
-    if "seed" in scenario.raw:
-        return int(scenario.raw["seed"][-1][0])
-    return 0
+        scenario.seed = args.seed
+    if args.paper_literal_confidence:
+        scenario.cfg = replace(scenario.cfg, paper_literal_confidence=True)
+    return scenario
 
 
 def run_batch(scenario: Scenario, mode: str, runs: int, seed: int, *,
-              paper_literal: bool = False, workers: int = 1) -> list[RunRecord]:
+              workers: int = 1) -> list[RunRecord]:
     """Run ``runs`` isolated flights; per-run seeds derive from the master
     seed and index, so results are identical however the batch is spread
     across workers."""
-    setups = [build_setup(scenario, mode, f"{seed}:{i}",
-                          paper_literal_confidence=paper_literal)
-              for i in range(runs)]
+    setups = [build_setup(scenario, mode, f"{seed}:{i}") for i in range(runs)]
     if workers > 1:
         # spawn, not fork: importing numpy already starts a BLAS thread, and
         # a forked child copies any lock it holds without the thread itself
@@ -92,10 +93,9 @@ def write_solver_trace_csv(path, rec: RunRecord) -> None:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args)
     out = _out_dir(args)
-    setup = build_setup(scenario, args.mode, _seed_for(args, scenario),
-                        paper_literal_confidence=args.paper_literal_confidence)
+    setup = build_setup(scenario, args.mode, scenario.seed)
     rec = execute_run(setup)
     write_trajectory_csv(out / "trajectory.csv", rec)
     with open(out / "record.json", "w") as fh:
@@ -111,10 +111,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args)
     out = _out_dir(args)
-    records = run_batch(scenario, args.mode, args.runs, _seed_for(args, scenario),
-                        paper_literal=args.paper_literal_confidence,
+    records = run_batch(scenario, args.mode, args.runs, scenario.seed,
                         workers=args.workers)
     write_records(out / f"records_{args.mode}.jsonl", records)
     m = compute_metrics(records, scenario.truth.victims, args.tolerance)
@@ -124,12 +123,11 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args)
     out = _out_dir(args)
     rows = []
     for mode in MODES:
-        records = run_batch(scenario, mode, args.runs, _seed_for(args, scenario),
-                            paper_literal=args.paper_literal_confidence,
+        records = run_batch(scenario, mode, args.runs, scenario.seed,
                             workers=args.workers)
         write_records(out / f"records_{mode}.jsonl", records)
         rows.append(compute_metrics(records, scenario.truth.victims, args.tolerance))
@@ -139,14 +137,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args)
     out = _out_dir(args)
-    records = run_batch(scenario, args.mode, args.runs, _seed_for(args, scenario),
-                        paper_literal=args.paper_literal_confidence,
+    records = run_batch(scenario, args.mode, args.runs, scenario.seed,
                         workers=args.workers)
     write_records(out / f"records_{args.mode}.jsonl", records)
     margin = 2.0
-    s = scenario.survey
+    s = scenario.cfg.survey
     bounds = Rect(s.x_min - margin, s.y_min - margin, s.x_max + margin, s.y_max + margin)
     counts, xs, ys = export_heatmap(records, bounds, cell=args.cell)
     write_heatmap_csv(out / f"heatmap_{args.mode}.csv", counts, xs, ys)

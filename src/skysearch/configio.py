@@ -1,8 +1,10 @@
-"""Tiny key-value config reader shared by model configs and scenario files.
+"""Tokenizer for scenario files.
 
 Format: one ``key = value ...`` per line, ``#`` comments, blank lines
 ignored. Values are whitespace-separated tokens; repeating a key appends
-another row (used for victim/obstacle lists).
+another row (used for victim/obstacle lists). This module only splits the
+text into rows of string tokens: ``world.load_scenario`` owns the schema
+that checks every key and converts every token.
 """
 
 from __future__ import annotations
@@ -12,52 +14,20 @@ class ConfigError(ValueError):
     """Malformed config or scenario file."""
 
 
-def parse_kv_text(text: str, source: str = "<string>") -> dict[str, list[list[str]]]:
+def parse_kv_file(path) -> dict[str, list[list[str]]]:
     out: dict[str, list[list[str]]] = {}
+    with open(path) as fh:
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, rest = line.partition("=")
         key = key.strip()
         values = rest.split()
         if not key or not values:
-            raise ConfigError(f"{source}:{lineno}: empty key or value in {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: empty key or value in {raw!r}")
         out.setdefault(key, []).append(values)
     return out
-
-
-def parse_kv_file(path) -> dict[str, list[list[str]]]:
-    with open(path) as fh:
-        return parse_kv_text(fh.read(), source=str(path))
-
-
-def apply_dataclass_kv(obj, kv: dict[str, list[list[str]]]):
-    """New dataclass instance with scalar fields overridden by matching
-    keys from a parsed key-value mapping; unknown keys are left alone."""
-    import dataclasses
-
-    kwargs = {}
-    for f in dataclasses.fields(obj):
-        if f.name in kv:
-            kwargs[f.name] = coerce_scalar(kv[f.name][-1][0])
-    return dataclasses.replace(obj, **kwargs) if kwargs else obj
-
-
-def coerce_scalar(token: str):
-    """Best-effort typing of a config token: bool, int, float, or string."""
-    low = token.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token

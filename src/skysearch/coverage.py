@@ -37,10 +37,6 @@ class Rect:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
-
     def contains(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 

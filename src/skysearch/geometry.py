@@ -72,8 +72,6 @@ class CameraIntrinsics:
     focal_mm: float = 4.7
     pitch: float = 0.0
     roll: float = 0.0
-    image_width: int = 640
-    image_height: int = 480
 
     def __post_init__(self) -> None:
         if self.focal_mm <= 0 or self.lens_width_mm <= 0 or self.lens_height_mm <= 0:

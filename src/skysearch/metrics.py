@@ -106,6 +106,8 @@ def export_heatmap(records: list[RunRecord], bounds: Rect, cell: float = 1.0
     Coordinates outside the bounds are clipped into the border cells so no
     record is silently dropped.
     """
+    if not cell > 0:
+        raise ValueError(f"heatmap cell size must be positive, got {cell}")
     nx = max(1, int(math.ceil(bounds.width / cell)))
     ny = max(1, int(math.ceil(bounds.height / cell)))
     counts = np.zeros((ny, nx), dtype=np.int64)

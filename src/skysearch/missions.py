@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 from random import Random
 
-from .configio import apply_dataclass_kv
 from .coverage import CoverageMap, Rect
 from .geometry import CameraIntrinsics, EnuPoint, footprint_extent
 from .model import (ActionCmd, GenerativeModel, ModelConfig, PomdpState, RewardParams,
@@ -25,6 +24,12 @@ from .solver import BeliefCollapseError, SolverConfig, advance_belief, bootstrap
 from .world import DetectorProfile, Scenario, WindProcess, sense
 
 OUTCOMES = ("Confirmed", "SurveyCompleteNoVictim", "Timeout", "Crash", "OutOfBounds")
+
+# hybrid inspections
+CONFIRM_SUPPRESS_RADIUS = 2.0  # a detection this close to a recorded coordinate is no news
+INSPECT_STEP_CAP = 28          # real planner steps per inspection
+DISCARD_PRESENT_MASS = 0.05    # discard the detection below this victim-present mass
+INSPECT_PRIOR = 0.8            # victim-present prior seeding an inspection
 
 
 @dataclass
@@ -167,23 +172,13 @@ class RunSetup:
     params: RewardParams
     cam: CameraIntrinsics
     profile: DetectorProfile
-    confirm_suppress_radius: float = 2.0
-    inspect_step_cap: int = 28
-    discard_present_mass: float = 0.05
-    inspect_prior: float = 0.8     # victim-present prior seeding an inspection
 
 
-def build_setup(scenario: Scenario, mode: str, seed, *,
-                paper_literal_confidence: bool = False) -> RunSetup:
+def build_setup(scenario: Scenario, mode: str, seed) -> RunSetup:
     if mode not in ("mission", "offboard", "hybrid"):
         raise ValueError(f"unknown flight mode {mode!r}")
-    cfg = ModelConfig().apply_overrides(scenario.raw)
-    cfg = replace(cfg, survey=scenario.survey,
-                  paper_literal_confidence=paper_literal_confidence
-                  or cfg.paper_literal_confidence)
-    solver_cfg = apply_dataclass_kv(SolverConfig(), scenario.raw)
-    return RunSetup(scenario=scenario, mode=mode, seed=str(seed), cfg=cfg,
-                    solver_cfg=solver_cfg, params=RewardParams(),
+    return RunSetup(scenario=scenario, mode=mode, seed=str(seed), cfg=scenario.cfg,
+                    solver_cfg=scenario.solver, params=RewardParams(),
                     cam=CameraIntrinsics(), profile=scenario.detector_profile())
 
 
@@ -320,7 +315,7 @@ class _Flight:
         Returns ``timeout`` or ``crash`` when the flight must end."""
         setup, cfg, rec = self.setup, self.cfg, self.rec
         if not (obs.detected and obs.zeta >= cfg.zeta_min) or _near_any(
-                obs.pv_x, obs.pv_y, rec.recorded, setup.confirm_suppress_radius):
+                obs.pv_x, obs.pv_y, rec.recorded, CONFIRM_SUPPRESS_RADIUS):
             return None
         rec.detections.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
         if obs.zeta >= cfg.zeta:
@@ -332,10 +327,8 @@ class _Flight:
         l_top, l_bottom, l_left, l_right = footprint_extent(resume.z, setup.cam)
         region = Rect(obs.pv_x + l_left, obs.pv_y + l_bottom,
                       obs.pv_x + l_right, obs.pv_y + l_top)
-        event = self.plan(region, setup.inspect_prior,
-                          detection=(obs.pv_x, obs.pv_y, obs.zeta),
-                          max_steps=setup.inspect_step_cap,
-                          discard_mass=setup.discard_present_mass)
+        event = self.plan(region, INSPECT_PRIOR, detection=(obs.pv_x, obs.pv_y, obs.zeta),
+                          max_steps=INSPECT_STEP_CAP, discard_mass=DISCARD_PRESENT_MASS)
         if event in ("timeout", "crash"):
             return event
         # every other inspection end resumes the survey; the return leg

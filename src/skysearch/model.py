@@ -8,11 +8,10 @@ All functions are pure given an explicit RNG handle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from random import Random
 
-from .configio import coerce_scalar, parse_kv_file
 from .coverage import CoverageMap, Rect
 from .geometry import (CameraIntrinsics, EnuPoint, Footprint,
                        footprint_extent, position_step_delta)
@@ -87,16 +86,6 @@ class RewardParams:
     action: float = -2.5
     fov: float = -5.0
 
-    @classmethod
-    def from_file(cls, path) -> "RewardParams":
-        kv = parse_kv_file(path)
-        kwargs = {}
-        for name in ("crash", "out", "detect", "confirm", "action", "fov"):
-            key = f"reward_{name}"
-            if key in kv:
-                kwargs[name] = float(kv[key][-1][0])
-        return cls(**kwargs)
-
 
 @dataclass
 class ModelConfig:
@@ -132,29 +121,13 @@ class ModelConfig:
         if not self.z_min < self.z_max:
             raise ValueError("z_min must be below z_max")
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("discount factor must be in (0, 1]")
+            raise ValueError("discount factor gamma must be in (0, 1]")
         if not self.zeta_min < self.zeta <= 1.0:
             raise ValueError("need zeta_min < zeta <= 1")
         if not self.dt > 0.0:
             raise ValueError("tick length dt must be positive")
         if not self.conf_bin > 0.0:
             raise ValueError("confidence bin width conf_bin must be positive")
-
-    def apply_overrides(self, kv: dict) -> "ModelConfig":
-        """New config with any matching keys from a parsed key-value file."""
-        fields = {f for f in self.__dataclass_fields__ if f != "survey"}
-        kwargs = {}
-        for key, rows in kv.items():
-            if key in fields:
-                kwargs[key] = coerce_scalar(rows[-1][0])
-        if "survey" in kv:
-            vals = [float(v) for v in kv["survey"][-1]]
-            kwargs["survey"] = Rect(*vals)
-        return replace(self, **kwargs)
-
-    @classmethod
-    def from_file(cls, path) -> "ModelConfig":
-        return cls().apply_overrides(parse_kv_file(path))
 
     def d_w(self) -> float:
         """Manhattan diagonal of the survey area (maximum exploration

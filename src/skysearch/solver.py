@@ -83,9 +83,17 @@ class SolverConfig:
     step_seconds: float | None = None  # wall-clock budget mode, overrides episode count
 
     def __post_init__(self) -> None:
-        if min(self.episodes_per_step, self.bootstrap_episodes,
-               self.max_depth, self.n_particles) < 1:
-            raise ValueError("solver budgets must all be at least 1")
+        for name in ("episodes_per_step", "bootstrap_episodes", "max_depth", "n_particles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"solver budget {name} must be at least 1")
+        if not self.ucb_c >= 0.0:
+            raise ValueError("exploration constant ucb_c must be non-negative")
+        if not (0.0 <= self.reinvig_frac <= 1.0 and 0.0 <= self.refresh_frac <= 1.0):
+            raise ValueError("reinvig_frac and refresh_frac must be in [0, 1]")
+        if not self.engaged_boost > 0.0:
+            raise ValueError("episode multiplier engaged_boost must be positive")
+        if self.step_seconds is not None and not self.step_seconds > 0.0:
+            raise ValueError("wall-clock budget step_seconds must be positive when set")
 
 
 def _return_bound(model, cfg: SolverConfig) -> float:

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from random import Random
 
 from .configio import ConfigError, parse_kv_file
-from .coverage import Rect
+from .coverage import CoverageMap, Rect
 from .geometry import CameraIntrinsics, EnuPoint, footprint_extent
-from .model import Observation
+from .model import ModelConfig, Observation
+from .solver import SolverConfig
 
 _SCENARIO_DIR = Path(__file__).parent / "scenarios"
+MAX_BOX_CELLS = 10**6  # bounds the cells one obstacle box may fill
 
 
 class OccupancyGrid:
@@ -42,9 +44,13 @@ class OccupancyGrid:
     def add_box(self, x: float, y: float, z: float,
                 dx: float, dy: float, dz: float) -> None:
         c = self.cell_size
-        for ix in range(int(math.floor(x / c)), int(math.ceil((x + dx) / c))):
-            for iy in range(int(math.floor(y / c)), int(math.ceil((y + dy) / c))):
-                for iz in range(int(math.floor(z / c)), int(math.ceil((z + dz) / c))):
+        rx, ry, rz = (range(int(math.floor(p / c)), int(math.ceil((p + d) / c)))
+                      for p, d in ((x, dx), (y, dy), (z, dz)))
+        if math.prod(max(0, r.stop - r.start) for r in (rx, ry, rz)) > MAX_BOX_CELLS:
+            raise ValueError(f"obstacle box spans more than {MAX_BOX_CELLS} cells")
+        for ix in rx:
+            for iy in ry:
+                for iz in rz:
                     self._cells.add((ix, iy, iz))
                     self.top_z = max(self.top_z, (iz + 1) * c)
 
@@ -136,9 +142,13 @@ class DetectorProfile:
 
     def __post_init__(self) -> None:
         if self.frames_per_call < 1:
-            raise ValueError("need at least one frame per observation call")
+            raise ValueError("frames_per_call must be at least 1")
         if not 0.0 <= self.p_floor <= self.p_ceil <= 1.0:
-            raise ValueError("probability bounds must satisfy 0 <= floor <= ceil <= 1")
+            raise ValueError("need 0 <= p_floor <= p_ceil <= 1")
+        if not self.near_range < self.far_range:
+            raise ValueError("need near_range < far_range")
+        if not self.occl_free_dist < self.occl_full_dist:
+            raise ValueError("need occl_free_dist < occl_full_dist")
 
     def base_p(self, d_uv: float) -> float:
         p = (self.far_range - d_uv) / (self.far_range - self.near_range)
@@ -176,10 +186,10 @@ class GroundTruth:
     def __post_init__(self) -> None:
         for _, _, occ in self.victims:
             if not 0.0 <= occ <= 1.0:
-                raise ValueError("occlusion fraction must be in [0, 1]")
+                raise ValueError("victim occlusion fraction must be in [0, 1]")
         for _, _, rate in self.distractors:
             if not 0.0 <= rate <= 1.0:
-                raise ValueError("false-positive rate must be in [0, 1]")
+                raise ValueError("distractor false-positive rate must be in [0, 1]")
 
 
 def sense(pose: EnuPoint, cam: CameraIntrinsics, truth: GroundTruth,
@@ -243,15 +253,21 @@ def sense(pose: EnuPoint, cam: CameraIntrinsics, truth: GroundTruth,
 
 @dataclass
 class Scenario:
-    """A declarative world plus any model/solver overrides from the file."""
+    """A declarative world plus the typed model, solver and detector
+    settings from its file. ``cfg.survey`` is the survey rectangle."""
 
     name: str
-    survey: Rect
     truth: GroundTruth
+    cfg: ModelConfig
+    solver: SolverConfig
+    seed: int = 0
     modality: str = "rgb"
     origin: tuple[float, float] | None = None
     detector_overrides: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.modality not in ("rgb", "thermal"):
+            raise ValueError(f"modality must be rgb or thermal, got {self.modality!r}")
 
     def detector_profile(self) -> DetectorProfile:
         if self.modality == "thermal":
@@ -263,8 +279,38 @@ def builtin_scenarios() -> list[str]:
     return sorted(p.stem for p in _SCENARIO_DIR.glob("*.scn"))
 
 
+def _bool(token: str) -> bool:
+    low = token.lower()
+    if low not in ("true", "yes", "on", "false", "no", "off"):
+        raise ValueError(f"expected true/yes/on or false/no/off, got {token!r}")
+    return low in ("true", "yes", "on")
+
+
+# the scenario file schema. Table rows: key -> tokens per row, each a finite
+# float; repeated rows are a list, and for survey, wind and origin the last
+# row wins.
+_TABLES = {"survey": 4, "victim": 3, "distractor": 3, "obstacle": 6, "wind": 2, "origin": 2}
+# single-token keys: key -> (section, field, converter). Model and solver
+# fields go by name, detector fields with a ``detector_`` prefix; a field
+# whose declared type has no converter (``survey``, ``modality``) is no key.
+_CONVERT = {"bool": _bool, "int": int, "float": float, "float | None": float}
+_KEYS = {"name": ("scenario", "name", str), "seed": ("scenario", "seed", int),
+         "modality": ("scenario", "modality", str),
+         **{prefix + f.name: (section, f.name, _CONVERT[f.type])
+            for section, cls, prefix in (("model", ModelConfig, ""),
+                                         ("solver", SolverConfig, ""),
+                                         ("detector", DetectorProfile, "detector_"))
+            for f in fields(cls) if f.type in _CONVERT}}
+
+
 def load_scenario(name_or_path: str | Path) -> Scenario:
-    """Load a scenario by built-in name (``l1``, ``l2``) or file path."""
+    """Load a scenario by built-in name (``l1``, ``l2``) or file path.
+
+    The only place scenario text becomes values: every key is checked
+    against the schema above and converted by its field's declared type.
+    An unknown key, a wrong token count, a failed conversion or a rejected
+    value raises ``ConfigError`` naming the file and the key.
+    """
     path = Path(name_or_path)
     if not path.exists():
         candidate = _SCENARIO_DIR / f"{name_or_path}.scn"
@@ -273,37 +319,51 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         else:
             raise ConfigError(f"no scenario named {name_or_path!r} "
                               f"(built-ins: {', '.join(builtin_scenarios())})")
-    kv = parse_kv_file(path)
-    try:
-        survey_vals = [float(v) for v in kv["survey"][-1]]
-    except KeyError:
+    tables: dict[str, list[tuple[float, ...]]] = {}
+    values = {"scenario": {"name": path.stem}, "model": {}, "solver": {}, "detector": {}}
+    for key, rows in parse_kv_file(path).items():
+        try:
+            if key not in _TABLES and key not in _KEYS:
+                raise ValueError("unknown key")
+            want = _TABLES.get(key, 1)
+            for row in rows:
+                if len(row) != want:
+                    raise ValueError(f"expected {want} value(s), got {len(row)}")
+            if key in _TABLES:
+                tables[key] = [tuple(map(float, row)) for row in rows]
+                if not all(map(math.isfinite, sum(tables[key], ()))):
+                    raise ValueError("expected finite numbers")
+            else:
+                section, name, convert = _KEYS[key]
+                for (token,) in rows:  # a repeated key: the last row wins
+                    values[section][name] = convert(token)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from None
+    if "survey" not in tables:
         raise ConfigError(f"{path}: scenario must define 'survey = xmin ymin xmax ymax'")
-    survey = Rect(*survey_vals)
-    grid = OccupancyGrid()
-    for row in kv.get("obstacle", []):
-        grid.add_box(*[float(v) for v in row])
-    wind_rate, wind_dur = 0.0, 5.0
-    if "wind" in kv:
-        wind_rate, wind_dur = (float(v) for v in kv["wind"][-1])
-    truth = GroundTruth(
-        victims=[tuple(float(v) for v in row) for row in kv.get("victim", [])],
-        distractors=[tuple(float(v) for v in row) for row in kv.get("distractor", [])],
-        obstacles=grid, wind_rate=wind_rate, wind_mean_duration=wind_dur)
-    for vx, vy, _ in truth.victims + truth.distractors:
-        if not survey.contains(vx, vy):
-            raise ConfigError(f"{path}: target ({vx}, {vy}) outside the survey area")
-    origin = None
-    if "origin" in kv:
-        lat0, lon0 = (float(v) for v in kv["origin"][-1])
-        origin = (lat0, lon0)
-    detector_overrides = {}
-    for key, rows in kv.items():
-        if key.startswith("detector_"):
-            field_name = key[len("detector_"):]
-            val = rows[-1][0]
-            detector_overrides[field_name] = (int(val) if field_name == "frames_per_call"
-                                              else float(val))
-    name = kv.get("name", [[path.stem]])[-1][0]
-    modality = kv.get("modality", [["rgb"]])[-1][0]
-    return Scenario(name=name, survey=survey, truth=truth, modality=modality,
-                    origin=origin, detector_overrides=detector_overrides, raw=kv)
+    try:
+        cfg = ModelConfig(survey=Rect(*tables["survey"][-1]), **values["model"])
+        truth = GroundTruth(victims=tables.get("victim", []),
+                            distractors=tables.get("distractor", []))
+        if "wind" in tables:
+            truth.wind_rate, truth.wind_mean_duration = tables["wind"][-1]
+        scenario = Scenario(truth=truth, cfg=cfg, solver=SolverConfig(**values["solver"]),
+                            origin=tables.get("origin", [None])[-1],
+                            detector_overrides=values["detector"], **values["scenario"])
+        scenario.detector_profile()  # checks the detector fields
+        survey = cfg.survey
+        for vx, vy, _ in truth.victims + truth.distractors:
+            if not survey.contains(vx, vy):
+                raise ValueError(f"target ({vx}, {vy}) outside the survey area")
+        # obstacles must lie in the flown volume grown by the coverage margin
+        m = CoverageMap.margin
+        lo = (survey.x_min - m, survey.y_min - m, -m)
+        hi = (survey.x_max + m, survey.y_max + m, cfg.z_max + m)
+        for box in tables.get("obstacle", []):
+            if not all(a <= p <= p + d <= b for a, p, d, b in zip(lo, box[:3], box[3:], hi)):
+                raise ValueError(f"obstacle {box} needs a non-negative size and must lie "
+                                 f"within {m} m of the survey area and below z_max + {m} m")
+            truth.obstacles.add_box(*box)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return scenario

@@ -124,14 +124,38 @@ class TestExitCodes:
         return cli.cli_main(["run", "--scenario", str(scn), "--mode", mode,
                              "--seed", "1", "--out", str(tmp_path / "out")])
 
-    def test_zero_dt_rejected(self, tmp_path, capsys):
-        # a zero tick would never advance the survey or the clock
-        assert self.run_with_override(tmp_path, "mission", "dt = 0") == 2
-        assert "dt" in capsys.readouterr().err
+    # id -> (mode, line appended to l1.scn); the error must name the line's key
+    BAD_LINES = {
+        "dt": ("mission", "dt = 0"),  # a zero tick would never advance the clock
+        "conf_bin": ("offboard", "conf_bin = 0"),
+        "misspelled": ("offboard", "episode_per_step = 1"),
+        "ucb_c": ("offboard", "ucb_c = -5"),
+        "step_seconds": ("offboard", "step_seconds = 0"),
+        "reinvig_frac": ("offboard", "reinvig_frac = 1.5"),
+        "engaged_boost": ("offboard", "engaged_boost = 0"),
+        "reward": ("offboard", "reward_crash = -100"),
+        "int_field": ("offboard", "n_particles = 20.5"),
+        "float_field": ("offboard", "zeta = abc"),
+        "obstacle_tokens": ("offboard", "obstacle = 1 2 3"),
+        "survey_tokens": ("offboard", "survey = 0 0 60"),
+        "obstacle_huge": ("offboard", "obstacle = 0 0 0 1e9 1e9 1e9"),
+        "obstacle_negative": ("offboard", "obstacle = 10 1 0 -1 1 1"),
+    }
 
-    def test_zero_conf_bin_rejected(self, tmp_path, capsys):
-        assert self.run_with_override(tmp_path, "offboard", "conf_bin = 0") == 2
-        assert "conf_bin" in capsys.readouterr().err
+    @pytest.mark.parametrize("case", BAD_LINES)
+    def test_bad_input_rejected(self, tmp_path, capsys, case):
+        mode, line = self.BAD_LINES[case]
+        assert self.run_with_override(tmp_path, mode, line) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line.partition("=")[0].strip() in err
+
+    @pytest.mark.parametrize("cell", ["0", "-1"])
+    def test_heatmap_nonpositive_cell_rejected(self, tmp_path, capsys, cell):
+        # 0 divided by zero and -1 wrote a 1x1 heatmap
+        code = cli.cli_main(["heatmap", "--scenario", "l1", "--runs", "1", "--cell", cell,
+                             "--out", str(tmp_path)])
+        assert code == 2
+        assert "cell" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli.cli_main(["--help"]) == 0

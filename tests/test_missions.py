@@ -9,7 +9,7 @@ from skysearch.coverage import Rect
 from skysearch.geometry import CameraIntrinsics
 from skysearch.missions import (RunRecord, build_setup, execute_run,
                                 lawnmower_waypoints)
-from skysearch.world import Scenario, GroundTruth, OccupancyGrid, load_scenario
+from skysearch.world import GroundTruth, OccupancyGrid, load_scenario
 
 CAM = CameraIntrinsics()
 
@@ -20,10 +20,10 @@ def make_scenario(victims=(), distractors=(), wind=(0.0, 5.0), survey=None,
     truth = GroundTruth(victims=list(victims), distractors=list(distractors),
                         obstacles=OccupancyGrid(), wind_rate=wind[0],
                         wind_mean_duration=wind[1])
-    raw = dict(sc.raw)
-    return Scenario(name="test", survey=survey or sc.survey, truth=truth,
-                    detector_overrides=dict(sc.detector_overrides) if detector is None
-                    else detector, raw=raw)
+    return replace(sc, name="test", truth=truth,
+                   cfg=sc.cfg if survey is None else replace(sc.cfg, survey=survey),
+                   detector_overrides=dict(sc.detector_overrides) if detector is None
+                   else detector)
 
 
 class TestLawnmower:
@@ -105,8 +105,7 @@ class TestOffboardMode:
     def test_tiny_threshold_confirms_on_first_detection(self):
         sc = make_scenario(victims=[(12.0, 1.2, 0.0)],
                            detector={"p_floor": 0.9, "p_ceil": 0.98})
-        sc.raw["zeta"] = [["1e-9"]]
-        sc.raw["zeta_min"] = [["0.0"]]
+        sc.cfg = replace(sc.cfg, zeta=1e-9, zeta_min=0.0)
         rec = execute_run(build_setup(sc, "offboard", 4))
         assert rec.outcome == "Confirmed"
         assert len(rec.detections) == 1  # the first detection ended the run

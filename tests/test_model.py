@@ -15,7 +15,7 @@ from skysearch.model import (ActionCmd, GenerativeModel, ModelConfig, Observatio
                              confidence_paper_literal, confidence_proximity,
                              generate_observation, initial_belief,
                              modeled_confidence, obs_key, reward, transition)
-from skysearch.world import OccupancyGrid
+from skysearch.world import OccupancyGrid, load_scenario
 
 CAM = CameraIntrinsics()
 CFG = ModelConfig()
@@ -267,18 +267,13 @@ class TestInitialBelief:
 
 
 class TestConfigIO:
-    def test_reward_params_from_file(self, tmp_path):
-        p = tmp_path / "rw.cfg"
-        p.write_text("reward_crash = -99\nreward_fov = -1.5\n")
-        rp = RewardParams.from_file(p)
-        assert rp.crash == -99 and rp.fov == -1.5 and rp.detect == 25.0
-
     def test_model_config_from_file(self, tmp_path):
-        p = tmp_path / "m.cfg"
-        p.write_text("zeta = 0.9\nsurvey = 0 0 10 10\ngamma = 0.9\n")
-        cfg = ModelConfig.from_file(p)
-        assert cfg.zeta == 0.9
-        assert cfg.survey == Rect(0, 0, 10, 10)
+        p = tmp_path / "m.scn"
+        p.write_text("zeta = 0.9\nsurvey = 0 0 10 10\ngamma = 0.9\nn_particles = 40\n")
+        sc = load_scenario(p)
+        assert sc.cfg.zeta == 0.9 and sc.cfg.gamma == 0.9
+        assert sc.cfg.survey == Rect(0, 0, 10, 10)
+        assert sc.solver.n_particles == 40 and isinstance(sc.solver.n_particles, int)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,11 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skysearch.configio import ConfigError
 from skysearch.geometry import CameraIntrinsics, EnuPoint
+from skysearch.missions import build_setup
 from skysearch.world import (DetectorProfile, GroundTruth, OccupancyGrid, WindProcess,
                              builtin_scenarios, load_scenario, occupied_ahead, sense,
                              thermal_profile)
@@ -192,7 +194,7 @@ class TestScenarios:
 
     def test_l1_layout(self):
         sc = load_scenario("l1")
-        assert sc.survey.width == 60.0 and sc.survey.height == 6.0
+        assert sc.cfg.survey.width == 60.0 and sc.cfg.survey.height == 6.0
         assert sc.truth.victims[0][2] == 0.0  # in the open
         assert any(rate == pytest.approx(0.05) for _, _, rate in sc.truth.distractors)
         assert len(sc.truth.obstacles) > 0
@@ -232,3 +234,38 @@ class TestScenarios:
         prof = sc.detector_profile()
         assert prof.modality == "thermal"
         assert prof.sigma_loc == 0.2
+
+
+# key -> tokens a valid line carries; the last five are misspelled or not keys
+FUZZ_KEYS = {"survey": 4, "victim": 3, "distractor": 3, "obstacle": 6, "wind": 2,
+             "origin": 2, "name": 1, "seed": 1, "modality": 1, "dt": 1, "zeta": 1,
+             "t_max": 1, "paper_literal_confidence": 1, "n_particles": 1, "ucb_c": 1,
+             "step_seconds": 1, "detector_p_floor": 1, "detector_frames_per_call": 1,
+             "detector_near_range": 1, "episode_per_step": 1, "reward_crash": 1,
+             "detector_modality": 1, "Survey": 1, "survey_": 4}
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "2", "5", "10", "16", "30"]),
+    st.sampled_from(["-5", "20.5", "1e9", "nan", "inf", "abc", "true", "off", "rgb",
+                     "thermal"]),
+    st.text(alphabet="0123456789.-+eE_xn", min_size=1, max_size=6))
+
+
+@st.composite
+def scenario_line(draw):
+    key = draw(st.sampled_from(sorted(FUZZ_KEYS)))
+    # mostly the right token count, so that lines get past the count check
+    n = draw(st.sampled_from([FUZZ_KEYS[key]] * 3 + [draw(st.integers(1, 7))]))
+    return f"{key} = " + " ".join(draw(st.lists(FUZZ_TOKENS, min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(scenario_line(), max_size=4))
+def test_fuzzed_scenario_loads_or_raises_config_error(tmp_path, lines):
+    path = tmp_path / "fuzz.scn"
+    path.write_text("survey = 0 0 60 6\n" + "\n".join(lines) + "\n")
+    try:
+        sc = load_scenario(path)
+    except ConfigError:
+        return
+    build_setup(sc, "offboard", 0)
