@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from random import Random
+from typing import NamedTuple
 
 from .coverage import CoverageMap, Rect
-from .geometry import (CameraIntrinsics, EnuPoint, Footprint,
-                       footprint_extent, position_step_delta)
+from .geometry import CameraIntrinsics, EnuPoint, Footprint, footprint_extent
 from .solver import ParticleBelief
 
 
@@ -37,9 +37,10 @@ _ACTIONS = tuple(ActionCmd)
 _FORWARD, _BACKWARD, _LEFT, _RIGHT, _UP, _DOWN, _HOVER = _ACTIONS
 
 
-@dataclass(frozen=True, slots=True)
-class PomdpState:
-    """UAV pose plus mission flags and the victim hypothesis.
+class PomdpState(NamedTuple):
+    """UAV pose plus mission flags and the victim hypothesis, as an
+    immutable named tuple, which is cheap to build: the planner builds one
+    per imagined move.
 
     ``victim_present`` marks whether this hypothesis contains a victim at
     all: the belief needs an explicit absence hypothesis so that a potential
@@ -87,6 +88,9 @@ class RewardParams:
     fov: float = -5.0
 
 
+MAX_RASTER_CELLS = 10**7  # bounds the coverage raster a scenario may ask for
+
+
 @dataclass
 class ModelConfig:
     """Mission and model constants.
@@ -128,6 +132,23 @@ class ModelConfig:
             raise ValueError("tick length dt must be positive")
         if not self.conf_bin > 0.0:
             raise ValueError("confidence bin width conf_bin must be positive")
+        if not 0.0 <= self.overlap < 1.0:
+            raise ValueError(f"frame overlap fraction overlap must be in [0, 1), "
+                             f"got {self.overlap}")
+        if not self.speed > 0.0:
+            raise ValueError("waypoint-following speed must be positive")
+        if not self.climb_step > 0.0:
+            raise ValueError("vertical step climb_step must be positive")
+        if not self.obs_cell > 0.0:
+            raise ValueError("observation cell obs_cell must be positive")
+        # the coverage raster spans the survey plus the map margin on each side
+        pad = 2.0 * CoverageMap.margin
+        cells = ((self.survey.width + pad) / self.obs_cell
+                 * ((self.survey.height + pad) / self.obs_cell))
+        if not cells <= MAX_RASTER_CELLS:
+            raise ValueError(f"survey with a {CoverageMap.margin:g} m margin at obs_cell "
+                             f"{self.obs_cell:g} m needs {cells:.3g} coverage cells, "
+                             f"more than {MAX_RASTER_CELLS:.0e}")
 
     def d_w(self) -> float:
         """Manhattan diagonal of the survey area (maximum exploration
@@ -162,32 +183,26 @@ def modeled_confidence(d_uv: float, cfg: ModelConfig) -> float:
 # ---------------------------------------------------------------------------
 # core operations
 
-def step_lengths(z: float, cam: CameraIntrinsics, cfg: ModelConfig) -> tuple[float, float]:
-    """Horizontal step lengths (dx, dy) at altitude ``z``: each axis uses
-    its own footprint extent so consecutive frames keep the configured
-    overlap."""
-    l_top, l_bottom, l_left, l_right = footprint_extent(z, cam)
-    dx = position_step_delta(l_right - l_left, cfg.overlap)
-    dy = position_step_delta(l_top - l_bottom, cfg.overlap)
-    return dx, dy
-
-
 def action_displacement(a: ActionCmd, z: float, cam: CameraIntrinsics,
                         cfg: ModelConfig) -> tuple[float, float, float]:
+    """Commanded displacement of ``a`` at altitude ``z``. A horizontal step
+    is the footprint length along its axis times ``1 - overlap``, so
+    consecutive frames keep the configured overlap."""
     if a == _HOVER:
         return 0.0, 0.0, 0.0
     if a == _UP:
         return 0.0, 0.0, cfg.climb_step
     if a == _DOWN:
         return 0.0, 0.0, -cfg.climb_step
-    dx, dy = step_lengths(z, cam, cfg)
+    l_top, l_bottom, l_left, l_right = footprint_extent(z, cam)
+    keep = 1.0 - cfg.overlap  # ``overlap`` is range-checked by ModelConfig
     if a == _FORWARD:
-        return dx, 0.0, 0.0
+        return (l_right - l_left) * keep, 0.0, 0.0
     if a == _BACKWARD:
-        return -dx, 0.0, 0.0
+        return -((l_right - l_left) * keep), 0.0, 0.0
     if a == _LEFT:
-        return 0.0, dy, 0.0
-    return 0.0, -dy, 0.0
+        return 0.0, (l_top - l_bottom) * keep, 0.0
+    return 0.0, -((l_top - l_bottom) * keep), 0.0
 
 
 def out_of_limits(x: float, y: float, z: float, cfg: ModelConfig) -> bool:
@@ -213,24 +228,26 @@ def transition(s: PomdpState, a: ActionCmd, cfg: ModelConfig, cam: CameraIntrins
         nx = min(max(nx, box.x_min), box.x_max)
         ny = min(max(ny, box.y_min), box.y_max)
         nz = min(max(nz, cfg.z_min), cfg.z_max)
-    if cfg.move_noise_xy > 0.0:
-        nx += rng.gauss(0.0, cfg.move_noise_xy)
-        ny += rng.gauss(0.0, cfg.move_noise_xy)
-    if cfg.move_noise_z > 0.0:
-        nz += rng.gauss(0.0, cfg.move_noise_z)
+    sigma_xy, sigma_z = cfg.move_noise_xy, cfg.move_noise_z
+    gauss = rng.gauss
+    if sigma_xy > 0.0:
+        nx += gauss(0.0, sigma_xy)
+        ny += gauss(0.0, sigma_xy)
+    if sigma_z > 0.0:
+        nz += gauss(0.0, sigma_z)
     f_roi = out_of_limits(nx, ny, nz, cfg)
-    f_crash = bool(occupancy is not None and occupancy.occupied(nx, ny, nz))
+    # nothing is occupied at or above the grid's top, where most poses are
+    f_crash = (occupancy is not None and nz < occupancy.top_z
+               and occupancy.occupied(nx, ny, nz))
     f_dct = False
     c_v = 0.0
-    if s.victim_present and not f_crash and not f_roi:
+    vx, vy, present = s.victim_x, s.victim_y, s.victim_present
+    if present and not f_crash and not f_roi:
         l_top, l_bottom, l_left, l_right = footprint_extent(max(nz, 1e-6), cam)
-        if (nx + l_left <= s.victim_x <= nx + l_right
-                and ny + l_bottom <= s.victim_y <= ny + l_top):
+        if nx + l_left <= vx <= nx + l_right and ny + l_bottom <= vy <= ny + l_top:
             f_dct = True
-            d_uv = abs(nx - s.victim_x) + abs(ny - s.victim_y) + nz
-            c_v = modeled_confidence(d_uv, cfg)
-    return PomdpState(nx, ny, nz, f_crash, f_roi, f_dct,
-                      s.victim_x, s.victim_y, s.victim_present, c_v)
+            c_v = modeled_confidence(abs(nx - vx) + abs(ny - vy) + nz, cfg)
+    return PomdpState(nx, ny, nz, f_crash, f_roi, f_dct, vx, vy, present, c_v)
 
 
 def reward(state: PomdpState, a: ActionCmd, eps: float, d_v: float, d_w: float,
@@ -317,21 +334,23 @@ def initial_belief(cfg: ModelConfig, n_particles: int, rng: Random, *,
     if region is None:
         region = cfg.survey
     particles = []
+    append = particles.append
+    gauss, uniform = rng.gauss, rng.random
+    sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
+    sx, sy, sz = start.x, start.y, start.z
     for _ in range(n_particles):
-        ux = start.x + rng.gauss(0.0, cfg.est_noise_xy)
-        uy = start.y + rng.gauss(0.0, cfg.est_noise_xy)
-        uz = start.z + rng.gauss(0.0, cfg.est_noise_z)
-        present = rng.random() < victim_present_prior
+        ux = sx + gauss(0.0, sigma_xy)
+        uy = sy + gauss(0.0, sigma_xy)
+        uz = sz + gauss(0.0, sigma_z)
+        present = uniform() < victim_present_prior
         vx, vy = _sample_region(region, rng)
         if detection is not None and present:
             dx, dy, dzeta = detection
-            vx = dx + rng.gauss(0.0, cfg.est_noise_xy)
-            vy = dy + rng.gauss(0.0, cfg.est_noise_xy)
-            particles.append(PomdpState(ux, uy, uz, False, False, True,
-                                        vx, vy, True, dzeta))
+            vx = dx + gauss(0.0, sigma_xy)
+            vy = dy + gauss(0.0, sigma_xy)
+            append(PomdpState(ux, uy, uz, False, False, True, vx, vy, True, dzeta))
         else:
-            particles.append(PomdpState(ux, uy, uz, False, False, False,
-                                        vx, vy, present, 0.0))
+            append(PomdpState(ux, uy, uz, False, False, False, vx, vy, present, 0.0))
     return ParticleBelief(particles, target_size=n_particles)
 
 
@@ -393,23 +412,25 @@ class GenerativeModel:
         Observation object (identical fields, identical draw order)."""
         cfg = self.cfg
         cell = cfg.obs_cell
-        ox = s2.x + (rng.gauss(0.0, cfg.est_noise_xy) if cfg.est_noise_xy > 0 else 0.0)
-        oy = s2.y + (rng.gauss(0.0, cfg.est_noise_xy) if cfg.est_noise_xy > 0 else 0.0)
-        oz = s2.z + (rng.gauss(0.0, cfg.est_noise_z) if cfg.est_noise_z > 0 else 0.0)
+        sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
+        gauss = rng.gauss
+        floor = math.floor  # floor and round of a float already give an int
+        x, y, z = s2.x, s2.y, s2.z
+        ox = x + (gauss(0.0, sigma_xy) if sigma_xy > 0 else 0.0)
+        oy = y + (gauss(0.0, sigma_xy) if sigma_xy > 0 else 0.0)
+        oz = z + (gauss(0.0, sigma_z) if sigma_z > 0 else 0.0)
         if s2.f_dct:
-            pv_x = s2.victim_x + rng.gauss(0.0, cfg.est_noise_xy)
-            pv_y = s2.victim_y + rng.gauss(0.0, cfg.est_noise_xy)
-            det = (int(math.floor(pv_x / cell)), int(math.floor(pv_y / cell)),
-                   int(round(s2.c_v / cfg.conf_bin)))
+            pv_x = s2.victim_x + gauss(0.0, sigma_xy)
+            pv_y = s2.victim_y + gauss(0.0, sigma_xy)
+            det = (floor(pv_x / cell), floor(pv_y / cell), round(s2.c_v / cfg.conf_bin))
         else:
             det = None
         obstacle = False
         occ = self.occupancy
-        if occ is not None and not occ.clears_everything(s2.z - cfg.climb_step):
-            dx, dy, dz = action_displacement(a, s2.z, self.cam, cfg)
-            obstacle = occ.ahead(s2.x, s2.y, s2.z, dx, dy, dz)
-        return (int(math.floor(ox / cell)), int(math.floor(oy / cell)),
-                int(math.floor(oz / cell)), det, obstacle)
+        if occ is not None and not occ.clears_everything(z - cfg.climb_step):
+            dx, dy, dz = action_displacement(a, z, self.cam, cfg)
+            obstacle = occ.ahead(x, y, z, dx, dy, dz)
+        return floor(ox / cell), floor(oy / cell), floor(oz / cell), det, obstacle
 
     def step(self, s: PomdpState, a: int, rng: Random, scratch):
         """Sample (next state, observation key, reward, terminal)."""
@@ -417,20 +438,20 @@ class GenerativeModel:
         act = _ACTIONS[a]
         s2 = transition(s, act, cfg, self.cam, self.occupancy, rng)
         key = self._observe_key(s2, act, rng)
-        if s2.f_crash or s2.f_roi:
+        x, y, z, f_crash, f_roi, _, vx, vy, present, _ = s2
+        d_w = self.d_w
+        if f_crash or f_roi:
             eps = 0.0  # unused branch
-            d_v = self.d_w
+            d_v = d_w
         else:
-            l_top, l_bottom, l_left, l_right = footprint_extent(max(s2.z, 1e-6), self.cam)
-            x0, x1 = s2.x + l_left, s2.x + l_right
-            y0, y1 = s2.y + l_bottom, s2.y + l_top
-            eps = self.cov_map.rect_overlap(x0, y0, x1, y1, scratch)
-            self.cov_map.stamp_rect(x0, y0, x1, y1, scratch)
-            if s2.victim_present:
-                d_v = abs(s2.x - s2.victim_x) + abs(s2.y - s2.victim_y)
-            else:
-                d_v = self.d_w
-        r = reward(s2, act, eps, d_v, self.d_w, self.params, cfg)
+            l_top, l_bottom, l_left, l_right = footprint_extent(max(z, 1e-6), self.cam)
+            x0, x1 = x + l_left, x + l_right
+            y0, y1 = y + l_bottom, y + l_top
+            cov_map = self.cov_map
+            eps = cov_map.rect_overlap(x0, y0, x1, y1, scratch)
+            cov_map.stamp_rect(x0, y0, x1, y1, scratch)
+            d_v = abs(x - vx) + abs(y - vy) if present else d_w
+        r = reward(s2, act, eps, d_v, d_w, self.params, cfg)
         return s2, key, r, self.is_terminal(s2)
 
     def resimulate(self, s: PomdpState, a: int, rng: Random):
@@ -461,44 +482,45 @@ class GenerativeModel:
         survives, the consistent explanation is that no victim is there.
         """
         cfg = self.cfg
-        ux = obs.pu_x + rng.gauss(0.0, cfg.est_noise_xy)
-        uy = obs.pu_y + rng.gauss(0.0, cfg.est_noise_xy)
-        uz = obs.pu_z + rng.gauss(0.0, cfg.est_noise_z)
+        gauss, uniform, randrange = rng.gauss, rng.random, rng.randrange
+        ux = obs.pu_x + gauss(0.0, cfg.est_noise_xy)
+        uy = obs.pu_y + gauss(0.0, cfg.est_noise_xy)
+        uz = obs.pu_z + gauss(0.0, cfg.est_noise_z)
         if obs.detected:
             # a detection is credible to the extent its confidence matches
             # what the model expects at that range; a weak return from
             # close up points at a lookalike, not a victim
             d_obs = abs(ux - obs.pv_x) + abs(uy - obs.pv_y) + uz
             expected = max(modeled_confidence(d_obs, cfg), cfg.zeta_min)
-            if rng.random() < min(obs.zeta / expected, 1.0):
-                vx = obs.pv_x + rng.gauss(0.0, cfg.est_noise_xy)
-                vy = obs.pv_y + rng.gauss(0.0, cfg.est_noise_xy)
-                if donors and rng.random() < 0.7:
+            if uniform() < min(obs.zeta / expected, 1.0):
+                vx = obs.pv_x + gauss(0.0, cfg.est_noise_xy)
+                vy = obs.pv_y + gauss(0.0, cfg.est_noise_xy)
+                if donors and uniform() < 0.7:
                     # average the fresh report with an earlier hypothesis so
                     # repeated detections contract the position spread
-                    donor = donors[rng.randrange(len(donors))]
+                    donor = donors[randrange(len(donors))]
                     if donor.victim_present and donor.f_dct:
-                        vx = 0.5 * (donor.victim_x + vx) + rng.gauss(0.0, 0.1)
-                        vy = 0.5 * (donor.victim_y + vy) + rng.gauss(0.0, 0.1)
+                        vx = 0.5 * (donor.victim_x + vx) + gauss(0.0, 0.1)
+                        vy = 0.5 * (donor.victim_y + vy) + gauss(0.0, 0.1)
                 return PomdpState(ux, uy, uz, False, False, True, vx, vy, True, obs.zeta)
             return PomdpState(ux, uy, uz, False, False, False, 0.0, 0.0, False, 0.0)
         l_top, l_bottom, l_left, l_right = footprint_extent(max(obs.pu_z, 1e-6), self.cam)
         x0, x1 = obs.pu_x + l_left, obs.pu_x + l_right
         y0, y1 = obs.pu_y + l_bottom, obs.pu_y + l_top
-        if rng.random() < self.victim_prior:
+        if uniform() < self.victim_prior:
             vx = vy = None
             for _ in range(30):
-                if donors and rng.random() < 0.9:
-                    donor = donors[rng.randrange(len(donors))]
+                if donors and uniform() < 0.9:
+                    donor = donors[randrange(len(donors))]
                     if not donor.victim_present:
                         continue
-                    vx = donor.victim_x + rng.gauss(0.0, 0.25)
-                    vy = donor.victim_y + rng.gauss(0.0, 0.25)
+                    vx = donor.victim_x + gauss(0.0, 0.25)
+                    vy = donor.victim_y + gauss(0.0, 0.25)
                 else:
                     vx, vy = _sample_region(self.prior_region, rng)
                 break
             if vx is not None:
-                if x0 <= vx <= x1 and y0 <= vy <= y1 and rng.random() < self.MISS_PRUNE:
+                if x0 <= vx <= x1 and y0 <= vy <= y1 and uniform() < self.MISS_PRUNE:
                     # in view yet not detected: usually the spot is clear,
                     # but one missed call is not proof (the victim may have
                     # entered the view only for the last few frames)

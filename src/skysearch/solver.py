@@ -118,10 +118,11 @@ def _simulate(node: BeliefNode, state, depth: int, model, cfg: SolverConfig,
             break
     if action < 0:
         log_n = math.log(node.n_visits)
+        ucb_c, sqrt = cfg.ucb_c, math.sqrt
         best = -math.inf
         for a in actions:
             e = edges[a]
-            u = e.q + cfg.ucb_c * math.sqrt(log_n / e.n)
+            u = e.q + ucb_c * sqrt(log_n / e.n)
             if u > best:
                 best = u
                 action = a
@@ -148,13 +149,14 @@ def _simulate(node: BeliefNode, state, depth: int, model, cfg: SolverConfig,
 def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) -> float:
     total = 0.0
     disc = 1.0
+    step, randrange = model.step, rng.randrange
+    n_actions, gamma = model.n_actions, model.gamma
     for _ in range(depth, cfg.max_depth):
-        a = rng.randrange(model.n_actions)
-        state, _, r, terminal = model.step(state, a, rng, scratch)
+        state, _, r, terminal = step(state, randrange(n_actions), rng, scratch)
         total += disc * r
         if terminal:
             break
-        disc *= model.gamma
+        disc *= gamma
     return total
 
 
@@ -169,10 +171,10 @@ def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
         deadline = time.monotonic() + cfg.step_seconds
         episodes = 1 << 62
     n = len(particles)
+    randrange, new_scratch = rng.randrange, model.new_scratch
     for ep in range(episodes):
-        state = particles[rng.randrange(n)]
-        scratch = model.new_scratch()
-        total = _simulate(root, state, 0, model, cfg, scratch, rng, allowed)
+        state = particles[randrange(n)]
+        total = _simulate(root, state, 0, model, cfg, new_scratch(), rng, allowed)
         if not abs(total) <= bound:
             raise AssertionError(f"episode return {total} exceeds bound {bound}")
         if q_trace is not None:
@@ -240,10 +242,11 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
     child = edge.children.get(key) if edge is not None else None
 
     survivors = []
+    is_terminal, resimulate = model.is_terminal, model.resimulate
     for s in root.belief.particles:
-        if model.is_terminal(s):
+        if is_terminal(s):
             continue
-        s2, k2 = model.resimulate(s, taken, rng)
+        s2, k2 = resimulate(s, taken, rng)
         if k2 == key:
             survivors.append(s2)
     target = root.belief.target_size
@@ -255,8 +258,9 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
 
     if len(survivors) >= max(1, int(cfg.reinvig_frac * target)):
         particles = list(survivors[:target - fresh_n])
+        n_survivors, randrange = len(survivors), rng.randrange
         while len(particles) < target - fresh_n:
-            particles.append(survivors[rng.randrange(len(survivors))])
+            particles.append(survivors[randrange(n_survivors)])
         for _ in range(fresh_n):
             particles.append(model.reinvigorate(observed, survivors, rng))
     else:
@@ -266,8 +270,9 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
                 "cannot reinvigorate")
         particles = list(survivors)
         donors = survivors if survivors else root.belief.particles
+        reinvigorate = model.reinvigorate
         while len(particles) < target:
-            particles.append(model.reinvigorate(observed, donors, rng))
+            particles.append(reinvigorate(observed, donors, rng))
 
     present = sum(1 for p in particles if getattr(p, "victim_present", True))
     belief = ParticleBelief(particles, target_size=target, survival_rate=rate,

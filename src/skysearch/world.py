@@ -24,6 +24,7 @@ from .solver import SolverConfig
 
 _SCENARIO_DIR = Path(__file__).parent / "scenarios"
 MAX_BOX_CELLS = 10**6  # bounds the cells one obstacle box may fill
+MIN_GUST_CYCLE_S = 0.1  # shortest mean gust arrival-plus-duration a scenario may ask for
 
 
 class OccupancyGrid:
@@ -346,7 +347,13 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         truth = GroundTruth(victims=tables.get("victim", []),
                             distractors=tables.get("distractor", []))
         if "wind" in tables:
-            truth.wind_rate, truth.wind_mean_duration = tables["wind"][-1]
+            rate, duration = tables["wind"][-1]
+            truth.wind_rate, truth.wind_mean_duration = rate, duration
+            # the gust process draws one gust per mean cycle of simulated time
+            cycle = 1.0 / rate + duration if rate > 0.0 else math.inf
+            if not cycle >= MIN_GUST_CYCLE_S:
+                raise ValueError(f"wind: a mean gust cycle (1/rate + mean duration) of "
+                                 f"{cycle:.3g} s is below {MIN_GUST_CYCLE_S} s")
         scenario = Scenario(truth=truth, cfg=cfg, solver=SolverConfig(**values["solver"]),
                             origin=tables.get("origin", [None])[-1],
                             detector_overrides=values["detector"], **values["scenario"])

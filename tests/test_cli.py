@@ -140,6 +140,15 @@ class TestExitCodes:
         "survey_tokens": ("offboard", "survey = 0 0 60"),
         "obstacle_huge": ("offboard", "obstacle = 0 0 0 1e9 1e9 1e9"),
         "obstacle_negative": ("offboard", "obstacle = 10 1 0 -1 1 1"),
+        # flown by a mission; offboard failed only mid-flight
+        "overlap_high": ("mission", "overlap = 1.5"),
+        "overlap_negative": ("mission", "overlap = -0.5"),
+        # 0 hovered until t_max, -2 ended every flight at once
+        "speed_zero": ("mission", "speed = 0"),
+        "speed_negative": ("offboard", "speed = -2"),
+        "climb_step": ("offboard", "climb_step = 0"),  # Up/Down hovered
+        "wind": ("offboard", "wind = 1e9 1e-9"),  # a gust every ~2 ns of sim time
+        "survey_huge": ("mission", "survey = 0 0 1e9 1e9"),  # raw numpy allocation error
     }
 
     @pytest.mark.parametrize("case", BAD_LINES)

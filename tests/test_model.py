@@ -5,10 +5,11 @@ import math
 from dataclasses import replace
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skysearch.coverage import Rect
+from skysearch.coverage import CoverageMap, Rect
 from skysearch.geometry import CameraIntrinsics, EnuPoint, footprint_corners_world
 from skysearch.model import (ActionCmd, GenerativeModel, ModelConfig, Observation,
                              PomdpState, RewardParams, action_displacement,
@@ -21,6 +22,7 @@ CAM = CameraIntrinsics()
 CFG = ModelConfig()
 RP = RewardParams()
 D_W = 66.0
+L1_GRID = load_scenario("l1").truth.obstacles  # a 1.5 m box and a 5 m tree
 
 
 def state(z=16.0, crash=False, roi=False, dct=False, c_v=0.0, x=0.0, y=0.0):
@@ -113,6 +115,20 @@ class TestConfidenceModels:
         assert 0.0 <= confidence_paper_literal(0.0, CFG) <= 1.0
 
 
+class TestState:
+    def test_fields_cannot_be_assigned(self):
+        s = PomdpState(1.0, 2.0, 10.0)
+        with pytest.raises(AttributeError):
+            s.x = 5.0
+        with pytest.raises(AttributeError):
+            s.victim_present = False
+
+    def test_keyword_construction_and_defaults(self):
+        s = PomdpState(x=1.0, y=2.0, z=10.0, c_v=0.5)
+        assert s == PomdpState(1.0, 2.0, 10.0, False, False, False, 0.0, 0.0, True, 0.5)
+        assert hash(s) == hash(PomdpState(1.0, 2.0, 10.0, c_v=0.5))
+
+
 class TestTransition:
     QUIET = replace(CFG, move_noise_xy=0.0, move_noise_z=0.0)
 
@@ -142,6 +158,14 @@ class TestTransition:
         s = state(z=12.0, x=30.5, y=3.0)
         s2 = transition(s, ActionCmd.FORWARD, self.QUIET, CAM, grid, Random(0))
         assert s2.f_crash
+
+    @given(x=st.floats(28.0, 29.6), y=st.floats(4.8, 6.4), z=st.floats(3.5, 6.0),
+           a=st.sampled_from(list(ActionCmd)), seed=st.integers(0, 10_000))
+    @settings(max_examples=120, deadline=None)
+    def test_crash_flag_is_grid_occupancy(self, x, y, z, a, seed):
+        # around the top of l1's 5 m tree
+        s2 = transition(state(z=z, x=x, y=y), a, CFG, CAM, L1_GRID, Random(seed))
+        assert s2.f_crash == L1_GRID.occupied(s2.x, s2.y, s2.z)
 
     def test_exit_survey_box_raises_flag(self):
         s = state(z=16.0, x=59.0, y=3.0)
@@ -196,14 +220,76 @@ class TestObservation:
     @settings(max_examples=120, deadline=None)
     def test_inline_key_matches_reference_observation(self, x, y, z, vx, vy, a, seed):
         # the planner's inlined observation key must be the reference
-        # generate_observation + obs_key pipeline, draw for draw
-        model = GenerativeModel(CFG, RP, CAM, occupancy=None)
+        # generate_observation + obs_key pipeline, draw for draw, with the
+        # obstacle-ahead test run against l1's obstacles; bins finer than
+        # the noise so that a reordered draw shows
+        cfg = replace(CFG, obs_cell=0.02)
+        model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID)
         s2 = transition(PomdpState(x, y, z, victim_x=vx, victim_y=vy,
                                    victim_present=True),
-                        a, CFG, CAM, None, Random(seed))
+                        a, cfg, CAM, L1_GRID, Random(seed))
         key_fast = model._observe_key(s2, a, Random(seed + 1))
-        obs = generate_observation(s2, a, CAM, CFG, None, Random(seed + 1))
-        assert key_fast == obs_key(obs, CFG)
+        obs = generate_observation(s2, a, CAM, cfg, L1_GRID, Random(seed + 1))
+        assert key_fast == obs_key(obs, cfg)
+
+
+def reference_step(s, a, cfg, cov, scratch, rng):
+    """``GenerativeModel.step`` composed from the reference pieces:
+    transition, the full observation and its key, the footprint overlap and
+    stamp, then the reward."""
+    act = ActionCmd(a)
+    s2 = transition(s, act, cfg, CAM, L1_GRID, rng)
+    key = obs_key(generate_observation(s2, act, CAM, cfg, L1_GRID, rng), cfg)
+    eps, d_v = 0.0, cfg.d_w()
+    if not (s2.f_crash or s2.f_roi):
+        fp = footprint_corners_world(EnuPoint(s2.x, s2.y, s2.z), 0.0, CAM)
+        eps = cov.overlap_fraction(fp, scratch)
+        cov.stamp_footprint(fp, scratch)
+        if s2.victim_present:
+            d_v = abs(s2.x - s2.victim_x) + abs(s2.y - s2.victim_y)
+    r = reward(s2, act, eps, d_v, cfg.d_w(), RP, cfg)
+    return s2, key, r, s2.c_v >= cfg.zeta or s2.f_crash or s2.f_roi
+
+
+class TestGenerativeStep:
+    # start states that land in each branch of the step: into the 5 m tree,
+    # past the survey edge, a hypothesis without a victim, a victim in view
+    STARTS = {
+        "crash": PomdpState(28.8, 5.6, 4.6, victim_x=10.0, victim_y=3.0),
+        "out": PomdpState(59.5, 3.0, 12.0, victim_x=10.0, victim_y=3.0),
+        "absent": PomdpState(20.0, 3.0, 10.0, victim_present=False),
+        "detect": PomdpState(30.0, 3.0, 8.0, victim_x=30.5, victim_y=3.2),
+    }
+
+    @staticmethod
+    def branch(s):
+        if s.f_crash:
+            return "crash"
+        if s.f_roi:
+            return "out"
+        return "detect" if s.f_dct else ("absent" if not s.victim_present else "miss")
+
+    @pytest.mark.parametrize("kind", STARTS)
+    def test_step_matches_reference_composition(self, kind):
+        cfg = replace(CFG, obs_cell=2.0)
+        cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
+        model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID, cov_map=cov)
+        reached = set()
+        for seed in range(12):
+            for a in range(model.n_actions):
+                fast_rng, ref_rng = Random(seed), Random(seed)
+                fast, ref = model.new_scratch(), model.new_scratch()
+                s = self.STARTS[kind]
+                for _ in range(2):  # the second step overlaps the first stamp
+                    got = model.step(s, a, fast_rng, fast)
+                    assert got == reference_step(s, a, cfg, cov, ref, ref_rng)
+                    assert np.array_equal(fast, ref)
+                    reached.add(self.branch(got[0]))
+                    if got[3]:
+                        break
+                    s = got[0]
+                assert fast_rng.getstate() == ref_rng.getstate()
+        assert kind in reached
 
 
 class TestTerminal:
