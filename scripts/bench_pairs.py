@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent commit against this checkout.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --workloads offboard \\
-        --seeds 501-510 --seconds 40 --out BENCH_5.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 501-510 --out BENCH_5.json
 
 The parent ref is exported with ``git archive`` into a temporary directory,
-so the repository's own git state is never touched. For each workload and
-seed, ``perfbench/run.py --trace 0`` runs once on each side, one after the
-other in a fresh interpreter; which side runs first alternates from pair to
-pair. The output holds every run's end-to-end metrics, outcome tally and
-record digest, and per metric each side's median and quartiles, the pairs
-the change won and lost (direction from ``BENCHMARK.json``), whether the
-gain rule holds (at least nine tenths of the pairs won and the medians
-further apart than the parent's quartile spread) and whether the change's
-median is worse than the parent's by more than the metric's bound.
+so the repository's own git state is never touched. For each workload that
+``BENCHMARK.json`` lists and each seed, ``perfbench/run.py --trace 0`` runs
+once on each side for the benchmark's ``run_seconds``, one after the other
+in a fresh interpreter; which side runs first alternates from pair to pair.
+The output holds every run's end-to-end metrics, outcome tally and record
+digest, the failed runs per side, and per metric each side's median and
+quartiles, the pairs the change won and lost (direction from
+``BENCHMARK.json``), whether the gain rule holds (at least nine tenths of
+all pairs won, no more failed runs than the parent, and the medians further
+apart than the parent's quartile spread) and whether the change's median is
+worse than the parent's by more than the metric's bound.
 """
 
 from __future__ import annotations
@@ -84,49 +85,65 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def ok(run: dict) -> bool:
+    """A run that exited 0 and reported correct results."""
+    return run["exit"] == 0 and run["correct"]
+
+
 def summarize(pairs: list[dict], spec: dict) -> dict:
-    """Per-metric medians, quartiles, pair wins and the gain and bound rules."""
-    out = {}
+    """Failed runs per side and, per metric, medians, quartiles, pair wins and
+    the gain and bound rules.
+
+    Every pair run counts towards the win share: a pair the change failed is
+    a loss, and one only the parent failed is no win. A gain never holds when
+    the change failed more runs than the parent.
+    """
+    failed = {side: sum(not ok(p[side]) for p in pairs) for side in ("parent", "change")}
+    metrics = {}
     for name, meta in spec.items():
-        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
-                if "metrics" in p["parent"] and "metrics" in p["change"]]
-        if not both:
-            continue
-        parent = [a for a, _ in both]
-        change = [b for _, b in both]
         sign = 1.0 if meta["better"] == "higher" else -1.0
-        wins = sum(sign * (b - a) > 0 for a, b in both)
-        losses = sum(sign * (b - a) < 0 for a, b in both)
+        wins = losses = 0
+        for p in pairs:
+            if not ok(p["change"]):
+                losses += 1
+            elif ok(p["parent"]):
+                d = sign * (p["change"]["metrics"][name] - p["parent"]["metrics"][name])
+                wins += d > 0
+                losses += d < 0
+        entry = {"unit": meta["unit"], "better": meta["better"], "bound": meta["bound"],
+                 "pairs": len(pairs), "change_wins": wins, "change_losses": losses,
+                 "gain_holds": False, "within_bound": False}
+        metrics[name] = entry
+        parent = [p["parent"]["metrics"][name] for p in pairs if ok(p["parent"])]
+        change = [p["change"]["metrics"][name] for p in pairs if ok(p["change"])]
+        if not parent or not change:
+            continue
         pq, cq = quartiles(parent), quartiles(change)
         pm, cm = statistics.median(parent), statistics.median(change)
         worse_by = sign * (pm - cm) / pm if pm else 0.0
-        out[name] = {
-            "unit": meta["unit"], "better": meta["better"], "bound": meta["bound"],
+        entry.update({
             "parent": parent, "change": change,
             "parent_median": pm, "change_median": cm,
             "parent_quartiles": pq, "change_quartiles": cq,
             "change_vs_parent": (cm - pm) / pm if pm else 0.0,
-            "pairs": len(both), "change_wins": wins, "change_losses": losses,
-            "gain_holds": (wins >= WIN_SHARE * len(both)
+            "gain_holds": (failed["change"] <= failed["parent"]
+                           and wins >= WIN_SHARE * len(pairs)
                            and sign * (cm - pm) > pq[2] - pq[0]),
             "worse_by": worse_by,
             "within_bound": worse_by <= meta["bound"],
-        }
-    return out
+        })
+    return {"failed_runs": failed, "metrics": metrics}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent side")
-    ap.add_argument("--workloads", default="offboard,hybrid,fullsize")
     ap.add_argument("--seeds", required=True, help="one seed per pair: 501-510 or 3,7,11")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     spec = {m["name"]: m for m in bench["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     result = {"parent_ref": args.parent, "seconds": seconds, "seeds": seeds,
@@ -136,7 +153,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         result["parent_commit"] = export_ref(args.parent, Path(tmp))
         sides = {"parent": Path(tmp) / "tree", "change": ROOT}
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -153,11 +170,9 @@ def main(argv=None) -> int:
                     for side in order), file=sys.stderr)
             result["workloads"][workload] = {
                 "runs": pairs,
-                "all_correct": all(p[s]["correct"] and p[s]["exit"] == 0
-                                   for p in pairs for s in ("parent", "change")),
                 "tally_and_digest_match": all(p["same_tally"] and p["same_digest"]
                                               for p in pairs),
-                "metrics": summarize(pairs, spec),
+                **summarize(pairs, spec),
             }
             # written after every workload, so a cut run keeps what finished
             args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -68,9 +68,14 @@ class CoverageMap:
             raise ValueError("cell_size must be positive")
         self.origin_x = self.survey.x_min - self.margin
         self.origin_y = self.survey.y_min - self.margin
-        self.nx = int(math.ceil((self.survey.width + 2 * self.margin) / self.cell_size))
-        self.ny = int(math.ceil((self.survey.height + 2 * self.margin) / self.cell_size))
+        self.ny, self.nx = self.raster_shape(self.survey, self.cell_size, self.margin)
         self.cells = np.zeros((self.ny, self.nx), dtype=np.uint8)
+
+    @staticmethod
+    def raster_shape(survey: Rect, cell_size: float, margin: float = margin) -> tuple[int, int]:
+        """Rows and columns of the raster over ``survey`` plus ``margin`` per side."""
+        return (int(math.ceil((survey.height + 2 * margin) / cell_size)),
+                int(math.ceil((survey.width + 2 * margin) / cell_size)))
 
     # -- index helpers -------------------------------------------------
 

@@ -142,12 +142,13 @@ class ModelConfig:
         if not self.obs_cell > 0.0:
             raise ValueError("observation cell obs_cell must be positive")
         # the coverage raster spans the survey plus the map margin on each side
-        pad = 2.0 * CoverageMap.margin
-        cells = ((self.survey.width + pad) / self.obs_cell
-                 * ((self.survey.height + pad) / self.obs_cell))
-        if not cells <= MAX_RASTER_CELLS:
+        try:
+            ny, nx = CoverageMap.raster_shape(self.survey, self.obs_cell)
+        except OverflowError:  # a survey extent that overflows to inf
+            ny = nx = math.inf
+        if not ny * nx <= MAX_RASTER_CELLS:
             raise ValueError(f"survey with a {CoverageMap.margin:g} m margin at obs_cell "
-                             f"{self.obs_cell:g} m needs {cells:.3g} coverage cells, "
+                             f"{self.obs_cell:g} m needs {ny * nx:.3g} coverage cells, "
                              f"more than {MAX_RASTER_CELLS:.0e}")
 
     def d_w(self) -> float:

@@ -349,6 +349,9 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         if "wind" in tables:
             rate, duration = tables["wind"][-1]
             truth.wind_rate, truth.wind_mean_duration = rate, duration
+            if rate < 0.0 or duration <= 0.0:
+                raise ValueError(f"wind: needs a rate >= 0 and a mean duration > 0, "
+                                 f"got {rate:g} and {duration:g}")
             # the gust process draws one gust per mean cycle of simulated time
             cycle = 1.0 / rate + duration if rate > 0.0 else math.inf
             if not cycle >= MIN_GUST_CYCLE_S:

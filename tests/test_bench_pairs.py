@@ -1,0 +1,53 @@
+"""The pair tally and gain rule of scripts/bench_pairs.py."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = {"episodes_per_s": {"unit": "1/s", "better": "higher", "bound": 0.2}}
+
+
+def run(value=None):
+    """A run with ``episodes_per_s = value``, or a failed one for None."""
+    if value is None:
+        return {"exit": 1, "correct": False}
+    return {"exit": 0, "correct": True, "metrics": {"episodes_per_s": value}}
+
+
+def pairs(parent, change):
+    return [{"parent": run(a), "change": run(b)} for a, b in zip(parent, change)]
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]
+
+
+def test_ten_wins_hold():
+    out = bench_pairs.summarize(pairs(PARENT, [v + 10 for v in PARENT]), SPEC)
+    m = out["metrics"]["episodes_per_s"]
+    assert out["failed_runs"] == {"parent": 0, "change": 0}
+    assert (m["pairs"], m["change_wins"], m["gain_holds"]) == (10, 10, True)
+
+
+def test_failed_change_run_is_a_loss_and_voids_the_gain():
+    change = [v + 10 for v in PARENT[:9]] + [None]
+    out = bench_pairs.summarize(pairs(PARENT, change), SPEC)
+    m = out["metrics"]["episodes_per_s"]
+    assert out["failed_runs"] == {"parent": 0, "change": 1}
+    assert (m["pairs"], m["change_wins"], m["change_losses"]) == (10, 9, 1)
+    assert not m["gain_holds"]
+
+
+def test_pairs_with_failures_stay_in_the_denominator():
+    # all eight compared pairs won, but that is 8 of 10; the change failed
+    # fewer runs than the parent
+    parent = PARENT[:8] + [None, None]
+    change = [v + 10 for v in PARENT[:8]] + [110.0, None]
+    out = bench_pairs.summarize(pairs(parent, change), SPEC)
+    m = out["metrics"]["episodes_per_s"]
+    assert out["failed_runs"] == {"parent": 2, "change": 1}
+    assert (m["pairs"], m["change_wins"], m["change_losses"]) == (10, 8, 1)
+    assert not m["gain_holds"]

@@ -148,7 +148,11 @@ class TestExitCodes:
         "speed_negative": ("offboard", "speed = -2"),
         "climb_step": ("offboard", "climb_step = 0"),  # Up/Down hovered
         "wind": ("offboard", "wind = 1e9 1e-9"),  # a gust every ~2 ns of sim time
+        # both were clamped by WindProcess without a word
+        "wind_rate_negative": ("offboard", "wind = -1 5"),
+        "wind_duration_negative": ("offboard", "wind = 0.01 -50"),
         "survey_huge": ("mission", "survey = 0 0 1e9 1e9"),  # raw numpy allocation error
+        "survey_overflow": ("mission", "survey = -1e308 0 1e308 10"),  # width is inf
     }
 
     @pytest.mark.parametrize("case", BAD_LINES)
