@@ -34,11 +34,15 @@ WIN_SHARE = 0.9
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``501-510`` or ``3,7,11``."""
+    """``501-510`` or ``3,7,11``; an empty list or a reversed range is an error."""
     if "-" in text:
         lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} names no seed (a range runs low-high)")
+    return seeds
 
 
 def export_ref(ref: str, dest: Path) -> str:
@@ -138,14 +142,15 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent side")
-    ap.add_argument("--seeds", required=True, help="one seed per pair: 501-510 or 3,7,11")
+    ap.add_argument("--seeds", type=parse_seeds, required=True,
+                    help="one seed per pair: 501-510 or 3,7,11")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     spec = {m["name"]: m for m in bench["end_to_end"]}
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
     result = {"parent_ref": args.parent, "seconds": seconds, "seeds": seeds,
               "command": "perfbench/run.py --workload W --seed N "
                          f"--seconds {seconds:g} --trace 0",

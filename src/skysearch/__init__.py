@@ -9,16 +9,15 @@ positive rates and elapsed time.
 """
 
 from .coverage import CoverageMap, Rect
-from .geometry import (CameraIntrinsics, EnuPoint, Footprint, GeoOrigin,
-                       footprint_corners_world, footprint_extent, manhattan,
-                       point_in_footprint, position_step_delta)
+from .geometry import (CameraIntrinsics, EnuPoint, Footprint, footprint_corners_world,
+                       footprint_extent, point_in_footprint)
 from .metrics import Metrics, compute_metrics, export_heatmap
-from .missions import FlightPlan, RunRecord, build_setup, execute_run, lawnmower_waypoints
+from .missions import RunRecord, build_setup, execute_run, lawnmower_waypoints
 from .model import (ActionCmd, GenerativeModel, ModelConfig, Observation, PomdpState,
                     RewardParams, generate_observation, initial_belief, reward, transition)
 from .solver import (BeliefCollapseError, BeliefNode, ParticleBelief, SolverConfig,
                      advance_belief, bootstrap, plan_step)
 from .world import (DetectorProfile, GroundTruth, OccupancyGrid, Scenario,
-                    WindProcess, load_scenario, occupied_ahead, sense, thermal_profile)
+                    WindProcess, load_scenario, sense, thermal_profile)
 
 __version__ = "0.1.0"

@@ -47,8 +47,9 @@ def run_batch(scenario: Scenario, mode: str, runs: int, seed: int, *,
               workers: int = 1) -> list[RunRecord]:
     """Run ``runs`` isolated flights; per-run seeds derive from the master
     seed and index, so results are identical however the batch is spread
-    across workers."""
+    across workers. The pool never holds more processes than there are runs."""
     setups = [build_setup(scenario, mode, f"{seed}:{i}") for i in range(runs)]
+    workers = min(workers, runs)
     if workers > 1:
         # spawn, not fork: importing numpy already starts a BLAS thread, and
         # a forked child copies any lock it holds without the thread itself
@@ -62,15 +63,6 @@ def write_records(path, records: list[RunRecord]) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-
-
-def read_records(path) -> list[RunRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                records.append(RunRecord.from_dict(json.loads(line)))
-    return records
 
 
 def write_trajectory_csv(path, rec: RunRecord) -> None:
@@ -166,6 +158,13 @@ def _cmd_footprint(args) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
     p.add_argument("--scenario", default="l1",
                    help=f"built-in name ({', '.join(builtin_scenarios())}) or file path")
@@ -179,8 +178,8 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
                    help="radius in metres for a coordinate to count as the true location")
     p.add_argument("--paper-literal-confidence", action="store_true",
                    help="use the distance-increasing confidence model variant")
-    p.add_argument("--workers", type=int, default=1,
-                   help="process pool size for batches")
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="process pool size for batches (at least 1, capped at the run count)")
 
 
 def build_parser() -> argparse.ArgumentParser:

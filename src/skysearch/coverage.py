@@ -47,16 +47,17 @@ class Rect:
 
 @dataclass
 class CoverageMap:
-    """Seen-flag raster covering the survey area plus a margin.
+    """Seen-flag raster covering the survey area plus ``MARGIN`` per side.
 
     ``cells[iy, ix]`` is 1 when the cell centre has been inside some stamped
-    footprint. The margin should be at least one footprint so that stamps
-    near the survey edge are not clipped.
+    footprint. The margin is at least one footprint so that stamps near the
+    survey edge are not clipped.
     """
+
+    MARGIN = 10.0  # metres of raster beyond each survey edge
 
     survey: Rect
     cell_size: float = 0.5
-    margin: float = 10.0
     origin_x: float = field(init=False)
     origin_y: float = field(init=False)
     nx: int = field(init=False)
@@ -66,16 +67,16 @@ class CoverageMap:
     def __post_init__(self) -> None:
         if self.cell_size <= 0:
             raise ValueError("cell_size must be positive")
-        self.origin_x = self.survey.x_min - self.margin
-        self.origin_y = self.survey.y_min - self.margin
-        self.ny, self.nx = self.raster_shape(self.survey, self.cell_size, self.margin)
+        self.origin_x = self.survey.x_min - self.MARGIN
+        self.origin_y = self.survey.y_min - self.MARGIN
+        self.ny, self.nx = self.raster_shape(self.survey, self.cell_size)
         self.cells = np.zeros((self.ny, self.nx), dtype=np.uint8)
 
-    @staticmethod
-    def raster_shape(survey: Rect, cell_size: float, margin: float = margin) -> tuple[int, int]:
-        """Rows and columns of the raster over ``survey`` plus ``margin`` per side."""
-        return (int(math.ceil((survey.height + 2 * margin) / cell_size)),
-                int(math.ceil((survey.width + 2 * margin) / cell_size)))
+    @classmethod
+    def raster_shape(cls, survey: Rect, cell_size: float) -> tuple[int, int]:
+        """Rows and columns of the raster over ``survey`` plus ``MARGIN`` per side."""
+        return (int(math.ceil((survey.height + 2 * cls.MARGIN) / cell_size)),
+                int(math.ceil((survey.width + 2 * cls.MARGIN) / cell_size)))
 
     # -- index helpers -------------------------------------------------
 
@@ -151,23 +152,6 @@ class CoverageMap:
             return 0.0
         block = self.cells[r0:r1 + 1, c0:c1 + 1]
         return float(np.count_nonzero(block)) / block.size
-
-    # -- export --------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("# x,y,seen\n")
-            for iy in range(self.ny):
-                y = self.origin_y + (iy + 0.5) * self.cell_size
-                for ix in range(self.nx):
-                    x = self.origin_x + (ix + 0.5) * self.cell_size
-                    fh.write(f"{x:.3f},{y:.3f},{int(self.cells[iy, ix])}\n")
-
-    def to_pgm(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"P2\n{self.nx} {self.ny}\n255\n")
-            for iy in range(self.ny - 1, -1, -1):  # north-up image
-                fh.write(" ".join("255" if v else "0" for v in self.cells[iy]) + "\n")
 
     # -- internals -----------------------------------------------------
 

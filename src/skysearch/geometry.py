@@ -1,8 +1,7 @@
 """Camera footprint geometry and local-frame coordinate helpers.
 
 Everything downstream (planner, simulator, coverage raster) works in a
-local ENU frame: x east, y north, z up, metres. Latitude/longitude only
-appears at import/export time via :class:`GeoOrigin`.
+local ENU frame: x east, y north, z up, metres.
 """
 
 from __future__ import annotations
@@ -23,39 +22,6 @@ class EnuPoint:
     x: float
     y: float
     z: float = 0.0
-
-
-@dataclass(frozen=True)
-class GeoOrigin:
-    """Anchor of the ENU frame, with equirectangular scale factors.
-
-    Good to well under 1e-6 degree of round-trip error inside a ~1 km box,
-    which is all the survey sites here need.
-    """
-
-    lat0: float
-    lon0: float
-
-    @property
-    def metres_per_deg_lat(self) -> float:
-        phi = math.radians(self.lat0)
-        return (111132.92 - 559.82 * math.cos(2 * phi)
-                + 1.175 * math.cos(4 * phi) - 0.0023 * math.cos(6 * phi))
-
-    @property
-    def metres_per_deg_lon(self) -> float:
-        phi = math.radians(self.lat0)
-        return (111412.84 * math.cos(phi) - 93.5 * math.cos(3 * phi)
-                + 0.118 * math.cos(5 * phi))
-
-    def to_enu(self, lat: float, lon: float, alt: float = 0.0) -> EnuPoint:
-        return EnuPoint((lon - self.lon0) * self.metres_per_deg_lon,
-                        (lat - self.lat0) * self.metres_per_deg_lat,
-                        alt)
-
-    def to_latlon(self, p: EnuPoint) -> tuple[float, float]:
-        return (self.lat0 + p.y / self.metres_per_deg_lat,
-                self.lon0 + p.x / self.metres_per_deg_lon)
 
 
 @dataclass(frozen=True)
@@ -182,18 +148,3 @@ def point_in_footprint(x: float, y: float, fp: Footprint) -> bool:
             return True  # on an edge (or a corner)
         total += math.atan2(cross, dot)
     return abs(total) >= _TWO_PI - 1e-9
-
-
-def position_step_delta(l_fov: float, overlap: float) -> float:
-    """Horizontal step length giving the requested frame overlap fraction."""
-    if not 0.0 <= overlap < 1.0:
-        raise ValueError(f"overlap fraction must be in [0, 1), got {overlap}")
-    if l_fov <= 0:
-        raise ValueError(f"footprint length must be positive, got {l_fov}")
-    return l_fov * (1.0 - overlap)
-
-
-def manhattan(px: float, py: float, qx: float, qy: float) -> float:
-    """2D Manhattan distance, used for both the UAV-victim separation and
-    the survey-area diagonal."""
-    return abs(px - qx) + abs(py - qy)

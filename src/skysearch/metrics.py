@@ -30,10 +30,6 @@ class Metrics:
     time_se_s: float
     n_timed: int
 
-    def row(self) -> list:
-        return [self.mode, self.runs, self.tp_pct, self.fp_pct, self.fn_pct,
-                self.time_mean_s, self.time_sd_s, self.time_se_s, self.n_timed]
-
 
 def _time_stats(times: list[float]) -> tuple[float, float, float, int]:
     n = len(times)

@@ -20,7 +20,7 @@ from .coverage import CoverageMap, Rect
 from .geometry import CameraIntrinsics, EnuPoint, footprint_extent
 from .model import (ActionCmd, GenerativeModel, ModelConfig, PomdpState, RewardParams,
                     action_displacement, initial_belief, transition)
-from .solver import BeliefCollapseError, SolverConfig, advance_belief, bootstrap, plan_step
+from .solver import SolverConfig, advance_belief, bootstrap, plan_step
 from .world import DetectorProfile, Scenario, WindProcess, sense
 
 OUTCOMES = ("Confirmed", "SurveyCompleteNoVictim", "Timeout", "Crash", "OutOfBounds")
@@ -30,17 +30,6 @@ CONFIRM_SUPPRESS_RADIUS = 2.0  # a detection this close to a recorded coordinate
 INSPECT_STEP_CAP = 28          # real planner steps per inspection
 DISCARD_PRESENT_MASS = 0.05    # discard the detection below this victim-present mass
 INSPECT_PRIOR = 0.8            # victim-present prior seeding an inspection
-
-
-@dataclass
-class FlightPlan:
-    """Ordered survey waypoints at constant altitude; the flight flies them
-    at ``ModelConfig.speed``."""
-
-    waypoints: list[EnuPoint]
-    altitude: float = 16.0
-    lane_spacing: float = 0.0
-    lane_count: int = 1
 
 
 @dataclass
@@ -79,8 +68,9 @@ class RunRecord:
 
 
 def lawnmower_waypoints(survey: Rect, cam: CameraIntrinsics, overlap: float = 0.30,
-                        altitude: float = 16.0) -> FlightPlan:
-    """Boustrophedon legs parallel to the survey's long axis.
+                        altitude: float = 16.0) -> list[EnuPoint]:
+    """Survey waypoints at constant altitude: boustrophedon legs parallel
+    to the survey's long axis, flown at ``ModelConfig.speed``.
 
     Lane spacing is the cross-track footprint width shrunk by the requested
     overlap; the whole swath is centred so the stamped union covers the
@@ -109,8 +99,7 @@ def lawnmower_waypoints(survey: Rect, cam: CameraIntrinsics, overlap: float = 0.
         for e in ends:
             waypoints.append(EnuPoint(e, lane, altitude) if along_x
                              else EnuPoint(lane, e, altitude))
-    return FlightPlan(waypoints, altitude=altitude, lane_spacing=spacing,
-                      lane_count=len(lanes))
+    return waypoints
 
 
 class _Follower:
@@ -279,8 +268,7 @@ class _Flight:
         fresh detection the pass itself does not confirm."""
         setup, cfg = self.setup, self.cfg
         hybrid = setup.mode == "hybrid"
-        follow = _Follower(lawnmower_waypoints(cfg.survey, setup.cam,
-                                               altitude=cfg.z_max).waypoints)
+        follow = _Follower(lawnmower_waypoints(cfg.survey, setup.cam, altitude=cfg.z_max))
         self.start(follow.pos, "MissionLeg")
         on_detection = self._inspect if hybrid else self._log
         while True:
@@ -311,8 +299,9 @@ class _Flight:
         """Hybrid detection policy. A fresh detection (not near an already
         confirmed coordinate) is confirmed on the pass when it clears the
         bar; otherwise a planner inspection over a camera-footprint patch
-        centred on it runs, then the UAV returns to the pause point.
-        Returns ``timeout`` or ``crash`` when the flight must end."""
+        centred on it runs, then the UAV returns to the pause point. No
+        inspection starts and no return leg moves once the clock has run
+        out. Returns ``timeout`` or ``crash`` when the flight must end."""
         setup, cfg, rec = self.setup, self.cfg, self.rec
         if not (obs.detected and obs.zeta >= cfg.zeta_min) or _near_any(
                 obs.pv_x, obs.pv_y, rec.recorded, CONFIRM_SUPPRESS_RADIUS):
@@ -322,6 +311,8 @@ class _Flight:
             rec.confirmations.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
             rec.recorded.append((obs.pv_x, obs.pv_y))
             return None
+        if self.t >= cfg.t_max:
+            return "timeout"
         resume = self.pose
         rec.mode_events.append((self.t, "HybridInspecting"))
         l_top, l_bottom, l_left, l_right = footprint_extent(resume.z, setup.cam)
@@ -334,11 +325,9 @@ class _Flight:
         # every other inspection end resumes the survey; the return leg
         # keeps the detector running but skips the crash and bounds checks
         back = _Follower([self.pose, resume])
-        while not back.done:
+        while not back.done and self.t < cfg.t_max:
             self.move(back.advance(self.step))
             self.observe()
-            if self.t >= cfg.t_max:
-                break
         rec.mode_events.append((self.t, "MissionLeg"))
         return "timeout" if self.t >= cfg.t_max else None
 
@@ -358,7 +347,8 @@ class _Flight:
              max_steps: int = 1 << 30, discard_mass: float | None = None) -> str:
         """Run the plan/act/sense/update loop from the current pose until a
         terminal event: ``confirmed``, ``discarded``, ``cap``, ``timeout``,
-        ``crash``, ``out``, ``survey_done`` or ``collapse``."""
+        ``crash``, ``out`` or ``survey_done``. The model refills the belief
+        after every real step, so it never runs empty."""
         setup, cfg, rec = self.setup, self.cfg, self.rec
         model = GenerativeModel(cfg, setup.params, setup.cam,
                                 occupancy=self.truth.obstacles, cov_map=self.cov,
@@ -368,7 +358,6 @@ class _Flight:
                                 victim_present_prior=victim_prior, detection=detection)
         root = bootstrap(model, belief, setup.solver_cfg, self.rng_solver)
         self.t += cfg.dt  # offline bootstrap tick
-        reinits = 0
         steps = 0
         while True:
             if self.t >= cfg.t_max:
@@ -409,20 +398,7 @@ class _Flight:
                 rec.confirmations.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
                 rec.recorded.append((obs.pv_x, obs.pv_y))
                 return "confirmed"
-            try:
-                root = advance_belief(root, action, obs, model,
-                                      setup.solver_cfg, self.rng_solver)
-            except BeliefCollapseError:
-                reinits += 1
-                if reinits > 1:
-                    return "collapse"
-                belief = initial_belief(cfg, setup.solver_cfg.n_particles,
-                                        self.rng_solver, start=self.pose, region=region,
-                                        victim_present_prior=victim_prior,
-                                        detection=None)
-                root = bootstrap(model, belief, setup.solver_cfg, self.rng_solver)
-                self.t += cfg.dt
-                continue
+            root = advance_belief(root, action, obs, model, setup.solver_cfg, self.rng_solver)
             belief_now = root.belief
             rec.solver_trace.append({
                 "t": self.t, "action": ActionCmd(action).name,

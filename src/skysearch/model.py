@@ -14,7 +14,7 @@ from random import Random
 from typing import NamedTuple
 
 from .coverage import CoverageMap, Rect
-from .geometry import CameraIntrinsics, EnuPoint, Footprint, footprint_extent
+from .geometry import CameraIntrinsics, EnuPoint, footprint_extent
 from .solver import ParticleBelief
 
 
@@ -147,7 +147,7 @@ class ModelConfig:
         except OverflowError:  # a survey extent that overflows to inf
             ny = nx = math.inf
         if not ny * nx <= MAX_RASTER_CELLS:
-            raise ValueError(f"survey with a {CoverageMap.margin:g} m margin at obs_cell "
+            raise ValueError(f"survey with a {CoverageMap.MARGIN:g} m margin at obs_cell "
                              f"{self.obs_cell:g} m needs {ny * nx:.3g} coverage cells, "
                              f"more than {MAX_RASTER_CELLS:.0e}")
 
@@ -319,16 +319,16 @@ def obs_key(obs: Observation, cfg: ModelConfig) -> tuple:
 
 
 def initial_belief(cfg: ModelConfig, n_particles: int, rng: Random, *,
-                   start: EnuPoint, region: Rect | Footprint | None = None,
+                   start: EnuPoint, region: Rect | None = None,
                    victim_present_prior: float = 1.0,
                    detection: tuple[float, float, float] | None = None) -> ParticleBelief:
     """Build the starting belief for a planning episode.
 
     Victim hypotheses are uniform over ``region``: the whole survey
-    rectangle for a full-area search, or the current camera footprint for
-    an inspection triggered mid-survey. UAV positions concentrate at the
-    known start pose. ``detection`` seeds every particle with an already
-    registered detection (position x, y and confidence).
+    rectangle for a full-area search, or a footprint-sized rectangle round
+    the detection for an inspection triggered mid-survey. UAV positions
+    concentrate at the known start pose. ``detection`` seeds every particle
+    with an already registered detection (position x, y and confidence).
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
@@ -355,14 +355,9 @@ def initial_belief(cfg: ModelConfig, n_particles: int, rng: Random, *,
     return ParticleBelief(particles, target_size=n_particles)
 
 
-def _sample_region(region: Rect | Footprint, rng: Random) -> tuple[float, float]:
-    if isinstance(region, Rect):
-        return (rng.uniform(region.x_min, region.x_max),
-                rng.uniform(region.y_min, region.y_max))
-    c0, c1, _, c3 = region.corners
-    u, v = rng.random(), rng.random()
-    return (c0[0] + u * (c1[0] - c0[0]) + v * (c3[0] - c0[0]),
-            c0[1] + u * (c1[1] - c0[1]) + v * (c3[1] - c0[1]))
+def _sample_region(region: Rect, rng: Random) -> tuple[float, float]:
+    return (rng.uniform(region.x_min, region.x_max),
+            rng.uniform(region.y_min, region.y_max))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +375,8 @@ class GenerativeModel:
 
     ``prior_region`` and ``victim_prior`` describe where victim hypotheses
     live when the belief has to be reinvigorated: the survey rectangle for
-    a full-area search, the triggering camera footprint for an inspection.
+    a full-area search, a footprint-sized rectangle round the triggering
+    detection for an inspection.
     """
 
     # chance that an undetected in-view hypothesis is dropped during
@@ -389,7 +385,7 @@ class GenerativeModel:
 
     def __init__(self, cfg: ModelConfig, params: RewardParams, cam: CameraIntrinsics,
                  occupancy=None, cov_map: CoverageMap | None = None,
-                 prior_region: Rect | Footprint | None = None,
+                 prior_region: Rect | None = None,
                  victim_prior: float = 1.0):
         self.cfg = cfg
         self.params = params

@@ -161,7 +161,7 @@ def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) 
 
 
 def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
-            rng: Random, q_trace: list | None = None, allowed=None) -> None:
+            rng: Random, allowed=None) -> None:
     particles = root.belief.particles
     if not particles:
         raise BeliefCollapseError("cannot plan from an empty belief")
@@ -177,19 +177,8 @@ def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
         total = _simulate(root, state, 0, model, cfg, new_scratch(), rng, allowed)
         if not abs(total) <= bound:
             raise AssertionError(f"episode return {total} exceeds bound {bound}")
-        if q_trace is not None:
-            q_trace.append(_best_q(root, model.n_actions))
         if deadline is not None and ep % 64 == 63 and time.monotonic() >= deadline:
             break
-
-
-def _best_q(root: BeliefNode, n_actions: int) -> float:
-    best = -math.inf
-    for a in range(n_actions):
-        e = root.edges[a]
-        if e is not None and e.n > 0 and e.q > best:
-            best = e.q
-    return best
 
 
 def _argmax_action(root: BeliefNode, actions) -> int:
@@ -204,8 +193,7 @@ def _argmax_action(root: BeliefNode, actions) -> int:
 
 
 def plan_step(root: BeliefNode, model, cfg: SolverConfig, rng: Random,
-              q_trace: list | None = None, allowed: list[int] | None = None,
-              episodes: int | None = None) -> int:
+              allowed: list[int] | None = None, episodes: int | None = None) -> int:
     """Run one planning round and return the best action at the root
     (highest mean return, ties broken by lowest action index).
 
@@ -215,7 +203,7 @@ def plan_step(root: BeliefNode, model, cfg: SolverConfig, rng: Random,
     ``episodes`` overrides the per-step budget, e.g. to think harder while
     closing in on a detection.
     """
-    _search(root, model, cfg, episodes or cfg.episodes_per_step, rng, q_trace, allowed)
+    _search(root, model, cfg, episodes or cfg.episodes_per_step, rng, allowed)
     return _argmax_action(root, range(model.n_actions) if allowed is None else allowed)
 
 

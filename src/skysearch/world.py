@@ -71,23 +71,18 @@ class OccupancyGrid:
         A zero displacement degenerates to the current cell."""
         if min(z, z + dz) >= self.top_z:
             return False
-        return occupied_ahead(self, x, y, z, dx, dy, dz)
+        length = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if length == 0.0:
+            return self.occupied(x, y, z)
+        steps = max(1, int(math.ceil(length / (0.5 * self.cell_size))))
+        for i in range(1, steps + 1):
+            f = i / steps
+            if self.occupied(x + f * dx, y + f * dy, z + f * dz):
+                return True
+        return False
 
     def __len__(self) -> int:
         return len(self._cells)
-
-
-def occupied_ahead(grid: OccupancyGrid, x: float, y: float, z: float,
-                   dx: float, dy: float, dz: float) -> bool:
-    length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if length == 0.0:
-        return grid.occupied(x, y, z)
-    steps = max(1, int(math.ceil(length / (0.5 * grid.cell_size))))
-    for i in range(1, steps + 1):
-        f = i / steps
-        if grid.occupied(x + f * dx, y + f * dy, z + f * dz):
-            return True
-    return False
 
 
 class WindProcess:
@@ -263,7 +258,6 @@ class Scenario:
     solver: SolverConfig
     seed: int = 0
     modality: str = "rgb"
-    origin: tuple[float, float] | None = None
     detector_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -288,9 +282,8 @@ def _bool(token: str) -> bool:
 
 
 # the scenario file schema. Table rows: key -> tokens per row, each a finite
-# float; repeated rows are a list, and for survey, wind and origin the last
-# row wins.
-_TABLES = {"survey": 4, "victim": 3, "distractor": 3, "obstacle": 6, "wind": 2, "origin": 2}
+# float; repeated rows are a list, and for survey and wind the last row wins.
+_TABLES = {"survey": 4, "victim": 3, "distractor": 3, "obstacle": 6, "wind": 2}
 # single-token keys: key -> (section, field, converter). Model and solver
 # fields go by name, detector fields with a ``detector_`` prefix; a field
 # whose declared type has no converter (``survey``, ``modality``) is no key.
@@ -358,7 +351,6 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
                 raise ValueError(f"wind: a mean gust cycle (1/rate + mean duration) of "
                                  f"{cycle:.3g} s is below {MIN_GUST_CYCLE_S} s")
         scenario = Scenario(truth=truth, cfg=cfg, solver=SolverConfig(**values["solver"]),
-                            origin=tables.get("origin", [None])[-1],
                             detector_overrides=values["detector"], **values["scenario"])
         scenario.detector_profile()  # checks the detector fields
         survey = cfg.survey
@@ -366,7 +358,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
             if not survey.contains(vx, vy):
                 raise ValueError(f"target ({vx}, {vy}) outside the survey area")
         # obstacles must lie in the flown volume grown by the coverage margin
-        m = CoverageMap.margin
+        m = CoverageMap.MARGIN
         lo = (survey.x_min - m, survey.y_min - m, -m)
         hi = (survey.x_max + m, survey.y_max + m, cfg.z_max + m)
         for box in tables.get("obstacle", []):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -51,3 +53,14 @@ def test_pairs_with_failures_stay_in_the_denominator():
     assert out["failed_runs"] == {"parent": 2, "change": 1}
     assert (m["pairs"], m["change_wins"], m["change_losses"]) == (10, 8, 1)
     assert not m["gain_holds"]
+
+
+@pytest.mark.parametrize("seeds", ["510-501", ""])
+def test_empty_or_reversed_seed_list_rejected(tmp_path, capsys, seeds):
+    # 510-501 used to parse to no seed at all and write a zero-pair result
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--seeds", seeds, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()

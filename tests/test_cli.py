@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from skysearch import cli
+from skysearch.missions import RunRecord
 from skysearch.solver import BeliefCollapseError
 
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
@@ -13,6 +14,10 @@ SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
 def run_cli(args, tmp_path, sub="run"):
     return cli.cli_main([sub, "--out", str(tmp_path)] + args)
+
+
+def read_jsonl(path) -> list[RunRecord]:
+    return [RunRecord.from_dict(json.loads(line)) for line in path.read_text().splitlines()]
 
 
 class TestRun:
@@ -58,7 +63,7 @@ class TestBatchAndCompare:
     def test_records_round_trip(self, tmp_path):
         cli.cli_main(["batch", "--scenario", "l1", "--mode", "mission",
                       "--runs", "3", "--seed", "2", "--out", str(tmp_path)])
-        records = cli.read_records(tmp_path / "records_mission.jsonl")
+        records = read_jsonl(tmp_path / "records_mission.jsonl")
         assert len(records) == 3
         assert all(r.mode == "mission" for r in records)
 
@@ -67,7 +72,7 @@ class TestBatchAndCompare:
         from skysearch.world import load_scenario
         cli.cli_main(["batch", "--scenario", "l1", "--mode", "mission",
                       "--runs", "4", "--seed", "3", "--out", str(tmp_path)])
-        records = cli.read_records(tmp_path / "records_mission.jsonl")
+        records = read_jsonl(tmp_path / "records_mission.jsonl")
         sc = load_scenario("l1")
         m = compute_metrics(records, sc.truth.victims, 2.0)
         row = (tmp_path / "metrics.csv").read_text().strip().splitlines()[1].split(",")
@@ -81,6 +86,39 @@ class TestBatchAndCompare:
         serial = cli.run_batch(sc, mode, 2, 9, workers=1)
         pooled = cli.run_batch(sc, mode, 2, 9, workers=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
+
+    def test_pool_never_larger_than_the_batch(self, monkeypatch):
+        import multiprocessing
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(x) for x in items]
+
+        class Context:
+            Pool = SerialPool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+        from skysearch.world import load_scenario
+        records = cli.run_batch(load_scenario("l1"), "mission", 2, 9, workers=64)
+        assert sizes == [2] and len(records) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        code = cli.cli_main(["batch", "--scenario", "l1", "--runs", "1",
+                             "--workers", workers, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "records_mission.jsonl").exists()
 
     def test_heatmap_command(self, tmp_path):
         code = cli.cli_main(["heatmap", "--scenario", "l1", "--mode", "mission",
@@ -153,6 +191,7 @@ class TestExitCodes:
         "wind_duration_negative": ("offboard", "wind = 0.01 -50"),
         "survey_huge": ("mission", "survey = 0 0 1e9 1e9"),  # raw numpy allocation error
         "survey_overflow": ("mission", "survey = -1e308 0 1e308 10"),  # width is inf
+        "origin": ("offboard", "origin = -27.4 152.9"),  # the key was read but never used
     }
 
     @pytest.mark.parametrize("case", BAD_LINES)

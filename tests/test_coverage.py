@@ -1,4 +1,4 @@
-"""Coverage raster: stamping, overlap fraction, export."""
+"""Coverage raster: stamping, overlap fraction, coverage ratio."""
 
 import math
 from random import Random
@@ -18,6 +18,20 @@ def fresh_map():
 
 def fp_at(x, y, z=16.0, yaw=0.0):
     return footprint_corners_world(EnuPoint(x, y, z), yaw, CAM)
+
+
+class TestRect:
+    def test_survey_manhattan_diagonal(self):
+        # the reward's d_w: Manhattan distance across the 60 x 6 m survey
+        assert Rect(0.0, 0.0, 60.0, 6.0).manhattan_diagonal() == 66.0
+
+
+class TestRaster:
+    def test_shape_adds_the_margin_on_each_side(self):
+        cov = fresh_map()
+        assert CoverageMap.MARGIN == 10.0
+        assert (cov.ny, cov.nx) == CoverageMap.raster_shape(cov.survey, 0.5) == (52, 160)
+        assert (cov.origin_x, cov.origin_y) == (-10.0, -10.0)
 
 
 class TestStamp:
@@ -135,19 +149,3 @@ class TestCoverageRatio:
         cov.stamp_rect(x0, y0, x1, y1)
         assert cov.overlap_fraction(fp) == 1.0
         assert cov.rect_overlap(x0, y0, x1, y1) == 1.0
-
-
-class TestExports:
-    def test_csv_and_pgm(self, tmp_path):
-        cov = CoverageMap(Rect(0, 0, 4, 2), cell_size=1.0, margin=1.0)
-        cov.stamp_rect(0.0, 0.0, 4.0, 2.0)
-        csv = tmp_path / "cov.csv"
-        pgm = tmp_path / "cov.pgm"
-        cov.to_csv(csv)
-        cov.to_pgm(pgm)
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0].startswith("#")
-        assert len(lines) == 1 + cov.nx * cov.ny
-        header = pgm.read_text().splitlines()
-        assert header[0] == "P2"
-        assert header[1] == f"{cov.nx} {cov.ny}"

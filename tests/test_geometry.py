@@ -6,9 +6,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skysearch.geometry import (CameraIntrinsics, EnuPoint, Footprint, GeoOrigin,
-                                HorizonError, footprint_corners_world, footprint_extent,
-                                manhattan, point_in_footprint, position_step_delta)
+from skysearch.geometry import (CameraIntrinsics, EnuPoint, Footprint, HorizonError,
+                                footprint_corners_world, footprint_extent, point_in_footprint)
 
 CAM = CameraIntrinsics()  # survey camera: 2.06 x 1.52 mm lens, f = 4.7 mm
 
@@ -134,64 +133,3 @@ class TestPointInFootprint:
     def test_agrees_with_half_plane_oracle_property(self, x, y, yaw, z):
         fp = footprint_corners_world(EnuPoint(0.0, 0.0, z), yaw, CAM)
         assert point_in_footprint(x, y, fp) == half_plane_contains(x, y, fp.corners)
-
-
-class TestStepDelta:
-    def test_survey_overlap_step(self):
-        assert position_step_delta(7.0128, 0.4) == pytest.approx(4.2077, abs=1e-4)
-
-    def test_no_overlap_full_step(self):
-        assert position_step_delta(5.0, 0.0) == 5.0
-
-    def test_unit_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            position_step_delta(5.0, 1.0)
-        with pytest.raises(ValueError):
-            position_step_delta(5.0, -0.1)
-
-    def test_degenerate_footprint_rejected(self):
-        with pytest.raises(ValueError):
-            position_step_delta(0.0, 0.4)
-
-
-class TestManhattan:
-    def test_three_four_seven(self):
-        assert manhattan(0, 0, 3, 4) == 7
-
-    def test_identity(self):
-        assert manhattan(1.5, -2.5, 1.5, -2.5) == 0
-
-    def test_survey_diagonal(self):
-        assert manhattan(0, 0, 60, 6) == 66
-
-    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
-           st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
-    def test_symmetry(self, px, py, qx, qy):
-        assert manhattan(px, py, qx, qy) == manhattan(qx, qy, px, py)
-
-    @given(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5),
-           st.floats(-1e5, 1e5), st.floats(-1e5, 1e5),
-           st.floats(-1e5, 1e5), st.floats(-1e5, 1e5))
-    def test_triangle_inequality(self, px, py, qx, qy, rx, ry):
-        assert manhattan(px, py, qx, qy) <= (manhattan(px, py, rx, ry)
-                                             + manhattan(rx, ry, qx, qy) + 1e-6)
-
-
-class TestGeoOrigin:
-    def test_round_trip_within_survey_box(self):
-        origin = GeoOrigin(-27.3892765, 152.8727722)
-        rng = Random(7)
-        for _ in range(200):
-            lat = origin.lat0 + rng.uniform(-0.009, 0.009)  # ~1 km
-            lon = origin.lon0 + rng.uniform(-0.009, 0.009)
-            p = origin.to_enu(lat, lon)
-            lat2, lon2 = origin.to_latlon(p)
-            assert abs(lat2 - lat) < 1e-6
-            assert abs(lon2 - lon) < 1e-6
-
-    def test_survey_waypoints_span_metres(self):
-        # the four survey corner waypoints enclose a few dozen metres
-        origin = GeoOrigin(-27.3892765, 152.8727722)
-        p = origin.to_enu(-27.3887138, 152.8730164)
-        assert 20.0 < p.x < 30.0
-        assert 55.0 < p.y < 70.0

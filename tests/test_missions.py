@@ -4,11 +4,13 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skysearch.coverage import Rect
 from skysearch.geometry import CameraIntrinsics
-from skysearch.missions import (RunRecord, build_setup, execute_run,
+from skysearch.missions import (OUTCOMES, RunRecord, build_setup, execute_run,
                                 lawnmower_waypoints)
+from skysearch.solver import SolverConfig
 from skysearch.world import GroundTruth, OccupancyGrid, load_scenario
 
 CAM = CameraIntrinsics()
@@ -26,34 +28,36 @@ def make_scenario(victims=(), distractors=(), wind=(0.0, 5.0), survey=None,
                    else detector)
 
 
+def lanes(waypoints):
+    """Cross-track positions of the legs of an along-x survey."""
+    return sorted({wp.y for wp in waypoints})
+
+
 class TestLawnmower:
     def test_survey_area_two_lanes(self):
-        plan = lawnmower_waypoints(Rect(0, 0, 60, 6), CAM, overlap=0.30, altitude=16)
-        assert plan.lane_count == 2
-        assert plan.lane_spacing == pytest.approx(5.174468085106382 * 0.7)
-        lanes = sorted({wp.y for wp in plan.waypoints})
-        assert len(lanes) == 2
-        assert lanes[1] - lanes[0] == pytest.approx(plan.lane_spacing)
-        assert all(0 <= wp.y <= 6 for wp in plan.waypoints)
-        assert all(wp.z == 16 for wp in plan.waypoints)
+        wps = lawnmower_waypoints(Rect(0, 0, 60, 6), CAM, overlap=0.30, altitude=16)
+        ys = lanes(wps)
+        assert len(ys) == 2
+        assert ys[1] - ys[0] == pytest.approx(5.174468085106382 * 0.7)
+        assert all(0 <= wp.y <= 6 for wp in wps)
+        assert all(wp.z == 16 for wp in wps)
 
     def test_zero_overlap_full_width_spacing(self):
-        plan = lawnmower_waypoints(Rect(0, 0, 60, 12), CAM, overlap=0.0, altitude=16)
-        assert plan.lane_spacing == pytest.approx(5.174468085106382)
+        ys = lanes(lawnmower_waypoints(Rect(0, 0, 60, 12), CAM, overlap=0.0, altitude=16))
+        assert ys[1] - ys[0] == pytest.approx(5.174468085106382)
 
     def test_square_lane_count(self):
-        plan = lawnmower_waypoints(Rect(0, 0, 100, 100), CAM, overlap=0.30, altitude=16)
+        wps = lawnmower_waypoints(Rect(0, 0, 100, 100), CAM, overlap=0.30, altitude=16)
         spacing = 5.174468085106382 * 0.7
-        assert plan.lane_count == math.ceil(100 / spacing)
+        assert len(lanes(wps)) == math.ceil(100 / spacing)
 
     def test_narrow_survey_single_centred_leg(self):
-        plan = lawnmower_waypoints(Rect(0, 0, 40, 3), CAM, overlap=0.30, altitude=16)
-        assert plan.lane_count == 1
-        assert all(wp.y == 1.5 for wp in plan.waypoints)
+        wps = lawnmower_waypoints(Rect(0, 0, 40, 3), CAM, overlap=0.30, altitude=16)
+        assert lanes(wps) == [1.5]
 
     def test_serpentine_order(self):
-        plan = lawnmower_waypoints(Rect(0, 0, 60, 6), CAM)
-        xs = [wp.x for wp in plan.waypoints]
+        wps = lawnmower_waypoints(Rect(0, 0, 60, 6), CAM)
+        xs = [wp.x for wp in wps]
         assert xs == [0, 60, 60, 0]
 
     def test_degenerate_survey_rejected(self):
@@ -167,6 +171,16 @@ class TestHybridMode:
         assert confirmed, "no hybrid run confirmed across 8 seeds"
         assert all(ht > mt for ht, mt in confirmed)
 
+    # each ended at t_max + 6 s: an inspection started on the tick that
+    # crossed t_max (l1), and the return leg moved once after it (l2)
+    @pytest.mark.parametrize("name, seed", [("l1", "h:1"), ("l2", "h:9")])
+    def test_clock_run_out_ends_the_flight(self, name, seed):
+        sc = load_scenario(name)
+        sc.cfg = replace(sc.cfg, t_max=50.0)
+        rec = execute_run(build_setup(sc, "hybrid", seed))
+        assert rec.elapsed_s <= sc.cfg.t_max + sc.cfg.dt
+        assert all(t < sc.cfg.t_max for t, e in rec.mode_events if e == "HybridInspecting")
+
     def test_bit_identical_reruns(self):
         sc = load_scenario("l1")
         a = execute_run(build_setup(sc, "hybrid", 13))
@@ -190,3 +204,42 @@ class TestRunRecord:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             build_setup(load_scenario("l1"), "glide", 0)
+
+
+L1 = load_scenario("l1")
+
+
+@st.composite
+def short_flight(draw):
+    """An l1 flight of 5-40 s with a drawn world and tiny planner budgets."""
+    unit = st.floats(0.0, 1.0)
+    survey = L1.cfg.survey
+    x, y = st.floats(survey.x_min, survey.x_max), st.floats(survey.y_min, survey.y_max)
+    truth = GroundTruth(victims=[(draw(x), draw(y), draw(unit))],
+                        distractors=[(draw(x), draw(y), draw(unit))],
+                        obstacles=L1.truth.obstacles,
+                        wind_rate=draw(st.one_of(st.just(0.0), st.floats(0.001, 1.0))),
+                        wind_mean_duration=draw(st.floats(0.5, 20.0)))
+    cfg = replace(L1.cfg, t_max=draw(st.floats(5.0, 40.0)),
+                  zeta=draw(st.floats(L1.cfg.zeta_min + 0.01, 1.0)))
+    solver = SolverConfig(n_particles=draw(st.integers(1, 40)),
+                          episodes_per_step=draw(st.integers(1, 16)),
+                          bootstrap_episodes=draw(st.integers(1, 16)),
+                          max_depth=draw(st.integers(1, 3)))
+    return replace(L1, truth=truth, cfg=cfg, solver=solver)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=short_flight(), seed=st.integers(0, 2**32))
+def test_fuzzed_short_flights_keep_the_record_invariants(sc, seed):
+    cfg = sc.cfg
+    for mode in ("mission", "offboard", "hybrid"):
+        rec = execute_run(build_setup(sc, mode, seed))
+        assert rec.outcome in OUTCOMES
+        times = [row[0] for row in rec.trajectory]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert 0.0 <= rec.coverage <= 1.0
+        assert rec.elapsed_s <= cfg.t_max + cfg.dt
+        for row in rec.solver_trace:
+            assert row["particles"] == sc.solver.n_particles
+            assert 0.0 <= row["survival"] <= 1.0

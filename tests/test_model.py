@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skysearch.coverage import CoverageMap, Rect
-from skysearch.geometry import CameraIntrinsics, EnuPoint, footprint_corners_world
+from skysearch.geometry import (CameraIntrinsics, EnuPoint, footprint_corners_world,
+                                footprint_extent)
 from skysearch.model import (ActionCmd, GenerativeModel, ModelConfig, Observation,
                              PomdpState, RewardParams, action_displacement,
                              confidence_paper_literal, confidence_proximity,
@@ -318,12 +319,12 @@ class TestInitialBelief:
         assert 0 <= min(ys) < 0.2 and 5.8 < max(ys) <= 6
 
     def test_footprint_belief_stays_inside(self):
-        fp = footprint_corners_world(EnuPoint(30, 3, 16), 0.3, CAM)
+        # an inspection's region: one camera footprint centred on the detection
+        l_top, l_bottom, l_left, l_right = footprint_extent(16.0, CAM)
+        region = Rect(30 + l_left, 3 + l_bottom, 30 + l_right, 3 + l_top)
         belief = initial_belief(CFG, 500, Random(2), start=EnuPoint(30, 3, 16),
-                                region=fp)
-        from skysearch.geometry import point_in_footprint
-        assert all(point_in_footprint(p.victim_x, p.victim_y, fp)
-                   for p in belief.particles)
+                                region=region)
+        assert all(region.contains(p.victim_x, p.victim_y) for p in belief.particles)
 
     def test_uniform_mean_near_centre(self):
         n = 4000

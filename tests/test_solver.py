@@ -143,10 +143,14 @@ class TestPlanStep:
             assert base == scaled == ChainModel.RIGHT
 
     def test_chosen_q_converges(self):
-        trace = []
-        cfg = SolverConfig(episodes_per_step=4000, ucb_c=20.0)
+        # 100 short rounds on one root: 4000 episodes, best root value after each
+        cfg = SolverConfig(episodes_per_step=40, ucb_c=20.0)
         root = BeliefNode(3, chain_belief())
-        plan_step(root, ChainModel(), cfg, Random(5), q_trace=trace)
+        model, rng = ChainModel(), Random(5)
+        trace = []
+        for _ in range(100):
+            plan_step(root, model, cfg, rng)
+            trace.append(max(root.q_values()))
         tail = trace[-len(trace) // 10:]
         assert statistics.pvariance(tail) < 0.05 * abs(statistics.mean(tail))
 

@@ -10,8 +10,7 @@ from skysearch.configio import ConfigError
 from skysearch.geometry import CameraIntrinsics, EnuPoint
 from skysearch.missions import build_setup
 from skysearch.world import (DetectorProfile, GroundTruth, OccupancyGrid, WindProcess,
-                             builtin_scenarios, load_scenario, occupied_ahead, sense,
-                             thermal_profile)
+                             builtin_scenarios, load_scenario, sense, thermal_profile)
 
 CAM = CameraIntrinsics()
 
@@ -164,19 +163,19 @@ class TestWind:
 class TestOccupancy:
     def test_empty_grid_free(self):
         grid = OccupancyGrid()
-        assert not occupied_ahead(grid, 0, 0, 10, 5, 0, 0)
+        assert not grid.ahead(0, 0, 10, 5, 0, 0)
 
     def test_cell_directly_ahead(self):
         grid = OccupancyGrid()
         grid.add_box(2.0, -0.5, 9.0, 1.0, 1.0, 2.0)
-        assert occupied_ahead(grid, 0, 0, 10, 4, 0, 0)
-        assert not occupied_ahead(grid, 0, 0, 10, -4, 0, 0)  # behind
+        assert grid.ahead(0, 0, 10, 4, 0, 0)
+        assert not grid.ahead(0, 0, 10, -4, 0, 0)  # behind
 
     def test_zero_displacement_checks_own_cell(self):
         grid = OccupancyGrid()
         grid.add_box(0.0, 0.0, 9.0, 1.0, 1.0, 2.0)
-        assert occupied_ahead(grid, 0.5, 0.5, 9.5, 0, 0, 0)
-        assert not occupied_ahead(grid, 5.0, 5.0, 9.5, 0, 0, 0)
+        assert grid.ahead(0.5, 0.5, 9.5, 0, 0, 0)
+        assert not grid.ahead(5.0, 5.0, 9.5, 0, 0, 0)
 
     def test_altitude_shortcut_consistent(self):
         grid = OccupancyGrid()
@@ -198,7 +197,6 @@ class TestScenarios:
         assert sc.truth.victims[0][2] == 0.0  # in the open
         assert any(rate == pytest.approx(0.05) for _, _, rate in sc.truth.distractors)
         assert len(sc.truth.obstacles) > 0
-        assert sc.origin is not None
 
     def test_l2_occlusion(self):
         sc = load_scenario("l2")
@@ -236,13 +234,13 @@ class TestScenarios:
         assert prof.sigma_loc == 0.2
 
 
-# key -> tokens a valid line carries; the last five are misspelled or not keys
+# key -> tokens a valid line carries; the last six are misspelled or not keys
 FUZZ_KEYS = {"survey": 4, "victim": 3, "distractor": 3, "obstacle": 6, "wind": 2,
-             "origin": 2, "name": 1, "seed": 1, "modality": 1, "dt": 1, "zeta": 1,
+             "name": 1, "seed": 1, "modality": 1, "dt": 1, "zeta": 1,
              "t_max": 1, "paper_literal_confidence": 1, "n_particles": 1, "ucb_c": 1,
              "step_seconds": 1, "detector_p_floor": 1, "detector_frames_per_call": 1,
              "detector_near_range": 1, "episode_per_step": 1, "reward_crash": 1,
-             "detector_modality": 1, "Survey": 1, "survey_": 4}
+             "detector_modality": 1, "Survey": 1, "survey_": 4, "origin": 2}
 FUZZ_TOKENS = st.one_of(
     st.sampled_from(["0", "0.5", "1", "2", "5", "10", "16", "30"]),
     st.sampled_from(["-5", "20.5", "1e9", "nan", "inf", "abc", "true", "off", "rgb",
