@@ -8,10 +8,11 @@ so the repository's own git state is never touched. For each workload that
 ``BENCHMARK.json`` lists and each seed, ``perfbench/run.py --trace 0`` runs
 once on each side for the benchmark's ``run_seconds``, one after the other
 in a fresh interpreter; which side runs first alternates from pair to pair.
-The output holds every run's end-to-end metrics, outcome tally and record
-digest, the failed runs per side, and per metric each side's median and
-quartiles, the pairs the change won and lost (direction from
-``BENCHMARK.json``), whether the gain rule holds (at least nine tenths of
+The output holds every run's end-to-end metrics, outcome tally, record
+digest and fixed-flight quality (``tp_pct``, ``fp_pct``, ``sim_confirm_s``),
+each side's quality means, the failed runs per side, and per metric each
+side's median and quartiles, the pairs the change won and lost (direction
+from ``BENCHMARK.json``), whether the gain rule holds (at least nine tenths of
 all pairs won, no more failed runs than the parent, and the medians further
 apart than the parent's quartile spread) and whether the change's median is
 worse than the parent's by more than the metric's bound.
@@ -31,6 +32,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+# the fixed flights' quality line of a run, e.g.
+# "quality (fixed flights, 2 m): tp_pct=50 fp_pct=10 sim_confirm_s=120.5"
+QUALITY_PREFIX = "quality (fixed flights, "
+QUALITY = ("tp_pct", "fp_pct", "sim_confirm_s")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -59,26 +64,39 @@ def export_ref(ref: str, dest: Path) -> str:
     return commit
 
 
-def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its JSON summary, tally, digest and exit code."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True,
-                          timeout=20 * seconds + 300)
-    out = {"exit": proc.returncode, "wall_s": round(time.perf_counter() - t0, 2)}
-    lines = proc.stdout.splitlines()
+def parse_output(stdout: str) -> dict:
+    """Tally, digest, fixed-flight quality, correctness and end-to-end metrics
+    from one run's standard output; ``correct`` is false when its closing JSON
+    summary is missing or malformed."""
+    out = {}
+    lines = stdout.splitlines()
     for line in lines:
         if line.startswith("tally: "):
             out["tally"] = line[len("tally: "):]
         elif line.startswith("digest: "):
             out["digest"] = line[len("digest: "):]
+        elif line.startswith(QUALITY_PREFIX):
+            fields = dict(f.split("=") for f in line.partition("): ")[2].split())
+            out["quality"] = {name: float(fields[name]) for name in QUALITY}
     try:
         summary = json.loads(lines[-1])
         out["correct"] = summary["correct"]
         out["metrics"] = {k: v["value"] for k, v in summary["metrics"].items()}
     except (IndexError, ValueError, KeyError):
         out["correct"] = False
+    return out
+
+
+def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run: its exit code, wall time and parsed output."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True,
+                          timeout=20 * seconds + 300)
+    out = {"exit": proc.returncode, "wall_s": round(time.perf_counter() - t0, 2),
+           **parse_output(proc.stdout)}
+    if not out["correct"]:
         out["stderr_tail"] = proc.stderr[-2000:]
     return out
 
@@ -139,6 +157,18 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
     return {"failed_runs": failed, "metrics": metrics}
 
 
+def quality_means(pairs: list[dict]) -> dict:
+    """Per side, the mean of each fixed-flight quality figure over the runs
+    that printed one; the draws of a changed model show up here next to speed."""
+    means = {}
+    for side in ("parent", "change"):
+        runs = [p[side]["quality"] for p in pairs if "quality" in p[side]]
+        means[side] = {name: statistics.mean(q[name] for q in runs) if runs else None
+                       for name in QUALITY}
+        means[side]["runs"] = len(runs)
+    return means
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent side")
@@ -178,6 +208,7 @@ def main(argv=None) -> int:
                 "tally_and_digest_match": all(p["same_tally"] and p["same_digest"]
                                               for p in pairs),
                 **summarize(pairs, spec),
+                "quality_means": quality_means(pairs),
             }
             # written after every workload, so a cut run keeps what finished
             args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -178,8 +178,12 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
                    help="radius in metres for a coordinate to count as the true location")
     p.add_argument("--paper-literal-confidence", action="store_true",
                    help="use the distance-increasing confidence model variant")
+
+
+def _add_batch(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--runs", type=int, default=5)
     p.add_argument("--workers", type=_workers, default=1,
-                   help="process pool size for batches (at least 1, capped at the run count)")
+                   help="process pool size (at least 1, capped at the run count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,17 +197,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="N seeded runs of one mode plus metrics")
     _add_common(p)
-    p.add_argument("--runs", type=int, default=5)
+    _add_batch(p)
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("compare", help="mission vs offboard vs hybrid side by side")
     _add_common(p, with_mode=False)
-    p.add_argument("--runs", type=int, default=5)
+    _add_batch(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("heatmap", help="batch plus a 2D histogram of recorded coordinates")
     _add_common(p)
-    p.add_argument("--runs", type=int, default=5)
+    _add_batch(p)
     p.add_argument("--cell", type=float, default=1.0)
     p.set_defaults(func=_cmd_heatmap)
 

@@ -8,14 +8,36 @@ All functions are pure given an explicit RNG handle.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from random import Random
+from statistics import NormalDist
 from typing import NamedTuple
 
 from .coverage import CoverageMap, Rect
 from .geometry import CameraIntrinsics, EnuPoint, footprint_extent
 from .solver import ParticleBelief
+
+
+def _normal_quantiles() -> array:
+    """The 2**16 standard-normal quantiles at the cell midpoints
+    ``(i + 0.5) / 2**16``, in increasing order. The lower half comes from the
+    inverse CDF and the upper half mirrors it, so the table is exactly
+    symmetric about zero."""
+    n = 1 << 16
+    table = array("d", map(NormalDist().inv_cdf, ((i + 0.5) / n for i in range(n // 2))))
+    upper = table[::-1]
+    table.extend(-z for z in upper)
+    return table
+
+
+# All model noise is ``_NORMAL[rng.getrandbits(16)] * sigma``: one table read
+# instead of a ``random.gauss`` call, which cost about a quarter of planner
+# time. The table has 65,536 levels, a standard deviation of 0.99999, and
+# tails cut at 4.32 sigma (its largest entry is 4.3249). The world's detector
+# (``world.sense``) stands in for reality and keeps ``random.gauss``.
+_NORMAL = _normal_quantiles()
 
 
 class ActionCmd(IntEnum):
@@ -141,6 +163,10 @@ class ModelConfig:
             raise ValueError("vertical step climb_step must be positive")
         if not self.obs_cell > 0.0:
             raise ValueError("observation cell obs_cell must be positive")
+        for name in ("move_noise_xy", "move_noise_z", "est_noise_xy", "est_noise_z"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"noise scale {name} must not be negative, "
+                                 f"got {getattr(self, name)}")
         # the coverage raster spans the survey plus the map margin on each side
         try:
             ny, nx = CoverageMap.raster_shape(self.survey, self.obs_cell)
@@ -230,12 +256,12 @@ def transition(s: PomdpState, a: ActionCmd, cfg: ModelConfig, cam: CameraIntrins
         ny = min(max(ny, box.y_min), box.y_max)
         nz = min(max(nz, cfg.z_min), cfg.z_max)
     sigma_xy, sigma_z = cfg.move_noise_xy, cfg.move_noise_z
-    gauss = rng.gauss
+    bits = rng.getrandbits
     if sigma_xy > 0.0:
-        nx += gauss(0.0, sigma_xy)
-        ny += gauss(0.0, sigma_xy)
+        nx += _NORMAL[bits(16)] * sigma_xy
+        ny += _NORMAL[bits(16)] * sigma_xy
     if sigma_z > 0.0:
-        nz += gauss(0.0, sigma_z)
+        nz += _NORMAL[bits(16)] * sigma_z
     f_roi = out_of_limits(nx, ny, nz, cfg)
     # nothing is occupied at or above the grid's top, where most poses are
     f_crash = (occupancy is not None and nz < occupancy.top_z
@@ -289,13 +315,15 @@ def generate_observation(s2: PomdpState, a: ActionCmd, cam: CameraIntrinsics,
     (footprint containment of the victim hypothesis and the modeled
     confidence curve); on detection, a noisy victim position. Confidence is
     discretized to the observation bins."""
-    ox = s2.x + (rng.gauss(0.0, cfg.est_noise_xy) if cfg.est_noise_xy > 0 else 0.0)
-    oy = s2.y + (rng.gauss(0.0, cfg.est_noise_xy) if cfg.est_noise_xy > 0 else 0.0)
-    oz = s2.z + (rng.gauss(0.0, cfg.est_noise_z) if cfg.est_noise_z > 0 else 0.0)
+    bits = rng.getrandbits
+    sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
+    ox = s2.x + (_NORMAL[bits(16)] * sigma_xy if sigma_xy > 0 else 0.0)
+    oy = s2.y + (_NORMAL[bits(16)] * sigma_xy if sigma_xy > 0 else 0.0)
+    oz = s2.z + (_NORMAL[bits(16)] * sigma_z if sigma_z > 0 else 0.0)
     pv_x = pv_y = zeta = None
     if s2.f_dct:
-        pv_x = s2.victim_x + rng.gauss(0.0, cfg.est_noise_xy)
-        pv_y = s2.victim_y + rng.gauss(0.0, cfg.est_noise_xy)
+        pv_x = s2.victim_x + _NORMAL[bits(16)] * sigma_xy
+        pv_y = s2.victim_y + _NORMAL[bits(16)] * sigma_xy
         zeta = zeta_bin(s2.c_v, cfg) * cfg.conf_bin
     obstacle = False
     if occupancy is not None:
@@ -336,19 +364,19 @@ def initial_belief(cfg: ModelConfig, n_particles: int, rng: Random, *,
         region = cfg.survey
     particles = []
     append = particles.append
-    gauss, uniform = rng.gauss, rng.random
+    bits, uniform = rng.getrandbits, rng.random
     sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
     sx, sy, sz = start.x, start.y, start.z
     for _ in range(n_particles):
-        ux = sx + gauss(0.0, sigma_xy)
-        uy = sy + gauss(0.0, sigma_xy)
-        uz = sz + gauss(0.0, sigma_z)
+        ux = sx + _NORMAL[bits(16)] * sigma_xy
+        uy = sy + _NORMAL[bits(16)] * sigma_xy
+        uz = sz + _NORMAL[bits(16)] * sigma_z
         present = uniform() < victim_present_prior
         vx, vy = _sample_region(region, rng)
         if detection is not None and present:
             dx, dy, dzeta = detection
-            vx = dx + gauss(0.0, sigma_xy)
-            vy = dy + gauss(0.0, sigma_xy)
+            vx = dx + _NORMAL[bits(16)] * sigma_xy
+            vy = dy + _NORMAL[bits(16)] * sigma_xy
             append(PomdpState(ux, uy, uz, False, False, True, vx, vy, True, dzeta))
         else:
             append(PomdpState(ux, uy, uz, False, False, False, vx, vy, present, 0.0))
@@ -410,15 +438,15 @@ class GenerativeModel:
         cfg = self.cfg
         cell = cfg.obs_cell
         sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
-        gauss = rng.gauss
+        bits = rng.getrandbits
         floor = math.floor  # floor and round of a float already give an int
         x, y, z = s2.x, s2.y, s2.z
-        ox = x + (gauss(0.0, sigma_xy) if sigma_xy > 0 else 0.0)
-        oy = y + (gauss(0.0, sigma_xy) if sigma_xy > 0 else 0.0)
-        oz = z + (gauss(0.0, sigma_z) if sigma_z > 0 else 0.0)
+        ox = x + (_NORMAL[bits(16)] * sigma_xy if sigma_xy > 0 else 0.0)
+        oy = y + (_NORMAL[bits(16)] * sigma_xy if sigma_xy > 0 else 0.0)
+        oz = z + (_NORMAL[bits(16)] * sigma_z if sigma_z > 0 else 0.0)
         if s2.f_dct:
-            pv_x = s2.victim_x + gauss(0.0, sigma_xy)
-            pv_y = s2.victim_y + gauss(0.0, sigma_xy)
+            pv_x = s2.victim_x + _NORMAL[bits(16)] * sigma_xy
+            pv_y = s2.victim_y + _NORMAL[bits(16)] * sigma_xy
             det = (floor(pv_x / cell), floor(pv_y / cell), round(s2.c_v / cfg.conf_bin))
         else:
             det = None
@@ -479,10 +507,10 @@ class GenerativeModel:
         survives, the consistent explanation is that no victim is there.
         """
         cfg = self.cfg
-        gauss, uniform, randrange = rng.gauss, rng.random, rng.randrange
-        ux = obs.pu_x + gauss(0.0, cfg.est_noise_xy)
-        uy = obs.pu_y + gauss(0.0, cfg.est_noise_xy)
-        uz = obs.pu_z + gauss(0.0, cfg.est_noise_z)
+        bits, uniform, randrange = rng.getrandbits, rng.random, rng.randrange
+        ux = obs.pu_x + _NORMAL[bits(16)] * cfg.est_noise_xy
+        uy = obs.pu_y + _NORMAL[bits(16)] * cfg.est_noise_xy
+        uz = obs.pu_z + _NORMAL[bits(16)] * cfg.est_noise_z
         if obs.detected:
             # a detection is credible to the extent its confidence matches
             # what the model expects at that range; a weak return from
@@ -490,15 +518,15 @@ class GenerativeModel:
             d_obs = abs(ux - obs.pv_x) + abs(uy - obs.pv_y) + uz
             expected = max(modeled_confidence(d_obs, cfg), cfg.zeta_min)
             if uniform() < min(obs.zeta / expected, 1.0):
-                vx = obs.pv_x + gauss(0.0, cfg.est_noise_xy)
-                vy = obs.pv_y + gauss(0.0, cfg.est_noise_xy)
+                vx = obs.pv_x + _NORMAL[bits(16)] * cfg.est_noise_xy
+                vy = obs.pv_y + _NORMAL[bits(16)] * cfg.est_noise_xy
                 if donors and uniform() < 0.7:
                     # average the fresh report with an earlier hypothesis so
                     # repeated detections contract the position spread
                     donor = donors[randrange(len(donors))]
                     if donor.victim_present and donor.f_dct:
-                        vx = 0.5 * (donor.victim_x + vx) + gauss(0.0, 0.1)
-                        vy = 0.5 * (donor.victim_y + vy) + gauss(0.0, 0.1)
+                        vx = 0.5 * (donor.victim_x + vx) + _NORMAL[bits(16)] * 0.1
+                        vy = 0.5 * (donor.victim_y + vy) + _NORMAL[bits(16)] * 0.1
                 return PomdpState(ux, uy, uz, False, False, True, vx, vy, True, obs.zeta)
             return PomdpState(ux, uy, uz, False, False, False, 0.0, 0.0, False, 0.0)
         l_top, l_bottom, l_left, l_right = footprint_extent(max(obs.pu_z, 1e-6), self.cam)
@@ -511,8 +539,8 @@ class GenerativeModel:
                     donor = donors[randrange(len(donors))]
                     if not donor.victim_present:
                         continue
-                    vx = donor.victim_x + gauss(0.0, 0.25)
-                    vy = donor.victim_y + gauss(0.0, 0.25)
+                    vx = donor.victim_x + _NORMAL[bits(16)] * 0.25
+                    vy = donor.victim_y + _NORMAL[bits(16)] * 0.25
                 else:
                     vx, vy = _sample_region(self.prior_region, rng)
                 break

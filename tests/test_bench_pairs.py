@@ -64,3 +64,34 @@ def test_empty_or_reversed_seed_list_rejected(tmp_path, capsys, seeds):
     assert exc.value.code == 2
     assert "--seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+STDOUT = """perfbench workload=hybrid mode=hybrid scenarios=l1,l2,l2gust seed=701 trace=0
+flights: 12 flown (9 fixed), 31.20 s busy
+quality (fixed flights, 2 m): tp_pct=55.5556 fp_pct=11.1111 sim_confirm_s=143.25
+tally: Confirmed=6 SurveyCompleteNoVictim=3
+digest: sha256:abc
+  episodes_per_s = 14000 1/s
+{"correct": true, "attempted": 12, "failed": 0, "metrics": {"episodes_per_s": {"value": 14000.0, "unit": "1/s"}}}
+"""
+
+
+def test_parse_output_reads_quality_tally_and_metrics():
+    out = bench_pairs.parse_output(STDOUT)
+    assert out["quality"] == {"tp_pct": 55.5556, "fp_pct": 11.1111, "sim_confirm_s": 143.25}
+    assert out["tally"] == "Confirmed=6 SurveyCompleteNoVictim=3"
+    assert out["digest"] == "sha256:abc"
+    assert out["correct"] and out["metrics"] == {"episodes_per_s": 14000.0}
+    assert bench_pairs.parse_output("crashed before printing")["correct"] is False
+
+
+def test_quality_means_per_side():
+    def side(tp):
+        return {"quality": {"tp_pct": tp, "fp_pct": 0.0, "sim_confirm_s": 100.0}}
+
+    ps = [{"parent": side(40.0), "change": side(50.0)},
+          {"parent": side(60.0), "change": {"exit": 1, "correct": False}}]
+    means = bench_pairs.quality_means(ps)
+    assert means["parent"] == {"tp_pct": 50.0, "fp_pct": 0.0, "sim_confirm_s": 100.0,
+                               "runs": 2}
+    assert means["change"]["tp_pct"] == 50.0 and means["change"]["runs"] == 1

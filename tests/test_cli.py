@@ -120,6 +120,14 @@ class TestBatchAndCompare:
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "records_mission.jsonl").exists()
 
+    def test_run_takes_no_workers(self, tmp_path, capsys):
+        # a single flight has nothing to spread across a pool
+        code = cli.cli_main(["run", "--scenario", "l1", "--workers", "2",
+                             "--out", str(tmp_path)])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "record.json").exists()
+
     def test_heatmap_command(self, tmp_path):
         code = cli.cli_main(["heatmap", "--scenario", "l1", "--mode", "mission",
                              "--runs", "3", "--seed", "4", "--out", str(tmp_path)])
@@ -192,6 +200,11 @@ class TestExitCodes:
         "survey_huge": ("mission", "survey = 0 0 1e9 1e9"),  # raw numpy allocation error
         "survey_overflow": ("mission", "survey = -1e308 0 1e308 10"),  # width is inf
         "origin": ("offboard", "origin = -27.4 152.9"),  # the key was read but never used
+        # transition and _observe_key skipped the noise; reinvigorate drew with it
+        "move_noise_negative": ("offboard", "move_noise_xy = -0.3"),
+        "move_noise_z_negative": ("offboard", "move_noise_z = -0.2"),
+        "est_noise_negative": ("offboard", "est_noise_xy = -1"),
+        "est_noise_z_negative": ("offboard", "est_noise_z = -0.05"),
     }
 
     @pytest.mark.parametrize("case", BAD_LINES)

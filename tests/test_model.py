@@ -8,7 +8,9 @@ from random import Random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
+from skysearch import model
 from skysearch.coverage import CoverageMap, Rect
 from skysearch.geometry import (CameraIntrinsics, EnuPoint, footprint_corners_world,
                                 footprint_extent)
@@ -128,6 +130,28 @@ class TestState:
         s = PomdpState(x=1.0, y=2.0, z=10.0, c_v=0.5)
         assert s == PomdpState(1.0, 2.0, 10.0, False, False, False, 0.0, 0.0, True, 0.5)
         assert hash(s) == hash(PomdpState(1.0, 2.0, 10.0, c_v=0.5))
+
+
+class TestNormalTable:
+    """The quantile table every model noise draw reads."""
+
+    def test_size_order_and_symmetry(self):
+        z = model._NORMAL
+        assert len(z) == 2 ** 16
+        assert all(a < b for a, b in zip(z, z[1:]))
+        assert all(z[i] == -z[-1 - i] for i in range(len(z)))
+
+    def test_spread_and_tails(self):
+        z = np.asarray(model._NORMAL)
+        assert abs(z.std() - 1.0) < 2e-5
+        assert 4.32 <= z.max() <= 4.33
+
+    def test_hover_displacement_is_normal(self):
+        rng = Random(11)
+        s = state(z=12.0, x=30.0, y=3.0)
+        dx = [transition(s, ActionCmd.HOVER, CFG, CAM, None, rng).x - s.x
+              for _ in range(20_000)]
+        assert stats.kstest(dx, "norm", args=(0.0, CFG.move_noise_xy)).pvalue > 0.01
 
 
 class TestTransition:
