@@ -16,6 +16,13 @@ from ``BENCHMARK.json``), whether the gain rule holds (at least nine tenths of
 all pairs won, no more failed runs than the parent, and the medians further
 apart than the parent's quartile spread) and whether the change's median is
 worse than the parent's by more than the metric's bound.
+
+After the pairs, each workload gets one traced run per side
+(``--trace 1 --seconds 5`` on the first seed) under ``traced``: its exit code,
+tally, digest, ``FAIL`` lines and the per-layer counts (the ``count`` metrics
+of ``BENCHMARK.json``), the counts that moved between the sides, and
+``traced_match``, true when both traced runs passed with the same tally and
+digest.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ WIN_SHARE = 0.9
 # "quality (fixed flights, 2 m): tp_pct=50 fp_pct=10 sim_confirm_s=120.5"
 QUALITY_PREFIX = "quality (fixed flights, "
 QUALITY = ("tp_pct", "fp_pct", "sim_confirm_s")
+TRACE_SECONDS = 5
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -87,18 +95,45 @@ def parse_output(stdout: str) -> dict:
     return out
 
 
-def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its exit code, wall time and parsed output."""
+def parse_traced(stdout: str, stderr: str, counts: list[str]) -> dict:
+    """``parse_output`` of a traced run with its ``FAIL`` lines and, in place
+    of the metrics, the per-layer ``counts``; a run that printed a ``FAIL``
+    line is not correct."""
+    out = parse_output(stdout)
+    out["fail_lines"] = [line for line in stderr.splitlines() if line.startswith("FAIL")]
+    out["correct"] = out["correct"] and not out["fail_lines"]
+    metrics = out.pop("metrics", {})
+    out["counts"] = {name: metrics[name] for name in counts if name in metrics}
+    return out
+
+
+def run_once(side: Path, workload: str, seed: int, seconds: float,
+             counts: list[str] | None = None) -> dict:
+    """One benchmark run: its exit code, wall time and parsed output. Given
+    the per-layer ``counts`` to keep, the run is traced (``parse_traced``)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0" if counts is None else "1"]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True,
                           timeout=20 * seconds + 300)
-    out = {"exit": proc.returncode, "wall_s": round(time.perf_counter() - t0, 2),
-           **parse_output(proc.stdout)}
+    parsed = (parse_output(proc.stdout) if counts is None
+              else parse_traced(proc.stdout, proc.stderr, counts))
+    out = {"exit": proc.returncode, "wall_s": round(time.perf_counter() - t0, 2), **parsed}
     if not out["correct"]:
         out["stderr_tail"] = proc.stderr[-2000:]
     return out
+
+
+def compare_traced(traced: dict) -> dict:
+    """The two sides' traced runs, the counts that moved between them and
+    whether both passed with the same tally and digest."""
+    parent, change = traced["parent"], traced["change"]
+    moved = {name: [parent["counts"].get(name), change["counts"].get(name)]
+             for name in sorted(parent["counts"].keys() | change["counts"].keys())
+             if parent["counts"].get(name) != change["counts"].get(name)}
+    match = (ok(parent) and ok(change) and parent.get("tally") == change.get("tally")
+             and parent.get("digest") == change.get("digest"))
+    return {"traced": {**traced, "counts_moved": moved}, "traced_match": match}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -180,10 +215,13 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     spec = {m["name"]: m for m in bench["end_to_end"]}
+    counts = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
     seeds = args.seeds
     result = {"parent_ref": args.parent, "seconds": seconds, "seeds": seeds,
               "command": "perfbench/run.py --workload W --seed N "
                          f"--seconds {seconds:g} --trace 0",
+              "traced_command": f"perfbench/run.py --workload W --seed {seeds[0]} "
+                                f"--seconds {TRACE_SECONDS} --trace 1",
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         result["parent_commit"] = export_ref(args.parent, Path(tmp))
@@ -203,12 +241,15 @@ def main(argv=None) -> int:
                     f"{side} episodes_per_s="
                     f"{pair[side].get('metrics', {}).get('episodes_per_s', float('nan')):.0f}"
                     for side in order), file=sys.stderr)
+            traced = {side: run_once(sides[side], workload, seeds[0], TRACE_SECONDS, counts)
+                      for side in ("parent", "change")}
             result["workloads"][workload] = {
                 "runs": pairs,
                 "tally_and_digest_match": all(p["same_tally"] and p["same_digest"]
                                               for p in pairs),
                 **summarize(pairs, spec),
                 "quality_means": quality_means(pairs),
+                **compare_traced(traced),
             }
             # written after every workload, so a cut run keeps what finished
             args.out.write_text(json.dumps(result, indent=1) + "\n")

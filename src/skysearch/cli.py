@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -158,11 +159,20 @@ def _cmd_footprint(args) -> int:
     return 0
 
 
-def _workers(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _checked(kind, ok, rule: str):
+    """An argparse type: ``kind(text)`` that must pass ``ok``, else exit 2 naming ``rule``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_at_least_one = _checked(int, lambda n: n >= 1, "at least 1")
+_tolerance = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and at least 0")
+_cell = _checked(float, lambda v: 0.0 < v < math.inf, "finite and above 0")
 
 
 def _add_common(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
@@ -174,15 +184,15 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
                    help="master seed (default: scenario file seed, else 0)")
     p.add_argument("--out", default=None,
                    help=f"output directory (default $" + OUT_ENV + " or ./out)")
-    p.add_argument("--tolerance", type=float, default=2.0,
+    p.add_argument("--tolerance", type=_tolerance, default=2.0,
                    help="radius in metres for a coordinate to count as the true location")
     p.add_argument("--paper-literal-confidence", action="store_true",
                    help="use the distance-increasing confidence model variant")
 
 
 def _add_batch(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--workers", type=_workers, default=1,
+    p.add_argument("--runs", type=_at_least_one, default=5)
+    p.add_argument("--workers", type=_at_least_one, default=1,
                    help="process pool size (at least 1, capped at the run count)")
 
 
@@ -208,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heatmap", help="batch plus a 2D histogram of recorded coordinates")
     _add_common(p)
     _add_batch(p)
-    p.add_argument("--cell", type=float, default=1.0)
+    p.add_argument("--cell", type=_cell, default=1.0, help="heatmap cell size in metres")
     p.set_defaults(func=_cmd_heatmap)
 
     p = sub.add_parser("footprint", help="print the camera footprint for a pose")

@@ -118,7 +118,7 @@ class CoverageMap:
         target = self.cells if cells is None else cells
         r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
         if c0 <= c1 and r0 <= r1:
-            target[r0:r1 + 1, c0:c1 + 1] = 1
+            target[r0:r1 + 1, c0:c1 + 1].fill(1)
 
     # -- queries -------------------------------------------------------
 

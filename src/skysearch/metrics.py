@@ -55,6 +55,8 @@ def compute_metrics(records: list[RunRecord], victims: list[tuple[float, float, 
     """
     if not records:
         raise ValueError("cannot compute metrics over zero runs")
+    if not 0.0 <= tolerance_m < math.inf:
+        raise ValueError(f"tolerance must be finite and at least 0, got {tolerance_m}")
     tp = fp = fn = 0
     for rec in records:
         hit = any(
@@ -102,8 +104,8 @@ def export_heatmap(records: list[RunRecord], bounds: Rect, cell: float = 1.0
     Coordinates outside the bounds are clipped into the border cells so no
     record is silently dropped.
     """
-    if not cell > 0:
-        raise ValueError(f"heatmap cell size must be positive, got {cell}")
+    if not 0 < cell < math.inf:
+        raise ValueError(f"heatmap cell size must be finite and positive, got {cell}")
     nx = max(1, int(math.ceil(bounds.width / cell)))
     ny = max(1, int(math.ceil(bounds.height / cell)))
     counts = np.zeros((ny, nx), dtype=np.int64)

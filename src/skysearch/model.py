@@ -57,6 +57,8 @@ class ActionCmd(IntEnum):
 # ``ActionCmd.HOVER`` each cost a few hundred ns, paid on every planner step
 _ACTIONS = tuple(ActionCmd)
 _FORWARD, _BACKWARD, _LEFT, _RIGHT, _UP, _DOWN, _HOVER = _ACTIONS
+# ``_tuple_new(PomdpState, fields)`` skips the NamedTuple's Python-level ``__new__``
+_tuple_new = tuple.__new__
 
 
 class PomdpState(NamedTuple):
@@ -215,12 +217,10 @@ def action_displacement(a: ActionCmd, z: float, cam: CameraIntrinsics,
     """Commanded displacement of ``a`` at altitude ``z``. A horizontal step
     is the footprint length along its axis times ``1 - overlap``, so
     consecutive frames keep the configured overlap."""
-    if a == _HOVER:
-        return 0.0, 0.0, 0.0
-    if a == _UP:
-        return 0.0, 0.0, cfg.climb_step
-    if a == _DOWN:
-        return 0.0, 0.0, -cfg.climb_step
+    if a >= _UP:  # UP, DOWN and HOVER
+        if a == _HOVER:
+            return 0.0, 0.0, 0.0
+        return 0.0, 0.0, cfg.climb_step if a == _UP else -cfg.climb_step
     l_top, l_bottom, l_left, l_right = footprint_extent(z, cam)
     keep = 1.0 - cfg.overlap  # ``overlap`` is range-checked by ModelConfig
     if a == _FORWARD:
@@ -232,14 +232,6 @@ def action_displacement(a: ActionCmd, z: float, cam: CameraIntrinsics,
     return 0.0, -((l_top - l_bottom) * keep), 0.0
 
 
-def out_of_limits(x: float, y: float, z: float, cfg: ModelConfig) -> bool:
-    s = cfg.roi_slack
-    box = cfg.survey
-    return (x < box.x_min - s or x > box.x_max + s
-            or y < box.y_min - s or y > box.y_max + s
-            or z < cfg.z_min - s or z > cfg.z_max + s)
-
-
 def transition(s: PomdpState, a: ActionCmd, cfg: ModelConfig, cam: CameraIntrinsics,
                occupancy, rng: Random, geofence: bool = False) -> PomdpState:
     """One motion step: commanded displacement plus position noise, then
@@ -248,10 +240,11 @@ def transition(s: PomdpState, a: ActionCmd, cfg: ModelConfig, cam: CameraIntrins
     planner's imagined transitions leave it off so breaching the limits
     stays a terminal failure it can reason about.
     """
-    dx, dy, dz = action_displacement(a, s.z, cam, cfg)
-    nx, ny, nz = s.x + dx, s.y + dy, s.z + dz
+    x, y, z, _, _, _, vx, vy, present, _ = s
+    dx, dy, dz = action_displacement(a, z, cam, cfg)
+    nx, ny, nz = x + dx, y + dy, z + dz
+    box = cfg.survey
     if geofence:
-        box = cfg.survey
         nx = min(max(nx, box.x_min), box.x_max)
         ny = min(max(ny, box.y_min), box.y_max)
         nz = min(max(nz, cfg.z_min), cfg.z_max)
@@ -262,19 +255,21 @@ def transition(s: PomdpState, a: ActionCmd, cfg: ModelConfig, cam: CameraIntrins
         ny += _NORMAL[bits(16)] * sigma_xy
     if sigma_z > 0.0:
         nz += _NORMAL[bits(16)] * sigma_z
-    f_roi = out_of_limits(nx, ny, nz, cfg)
+    slack = cfg.roi_slack  # out of the flying limits by more than the slack
+    f_roi = (nx < box.x_min - slack or nx > box.x_max + slack
+             or ny < box.y_min - slack or ny > box.y_max + slack
+             or nz < cfg.z_min - slack or nz > cfg.z_max + slack)
     # nothing is occupied at or above the grid's top, where most poses are
     f_crash = (occupancy is not None and nz < occupancy.top_z
                and occupancy.occupied(nx, ny, nz))
     f_dct = False
     c_v = 0.0
-    vx, vy, present = s.victim_x, s.victim_y, s.victim_present
     if present and not f_crash and not f_roi:
         l_top, l_bottom, l_left, l_right = footprint_extent(max(nz, 1e-6), cam)
         if nx + l_left <= vx <= nx + l_right and ny + l_bottom <= vy <= ny + l_top:
             f_dct = True
             c_v = modeled_confidence(abs(nx - vx) + abs(ny - vy) + nz, cfg)
-    return PomdpState(nx, ny, nz, f_crash, f_roi, f_dct, vx, vy, present, c_v)
+    return _tuple_new(PomdpState, (nx, ny, nz, f_crash, f_roi, f_dct, vx, vy, present, c_v))
 
 
 def reward(state: PomdpState, a: ActionCmd, eps: float, d_v: float, d_w: float,
@@ -458,24 +453,28 @@ class GenerativeModel:
         return floor(ox / cell), floor(oy / cell), floor(oz / cell), det, obstacle
 
     def step(self, s: PomdpState, a: int, rng: Random, scratch):
-        """Sample (next state, observation key, reward, terminal)."""
+        """Sample (next state, observation key, reward, terminal).
+
+        Only ``reward``'s exploration branch reads the footprint overlap and
+        the victim distance, so a detecting step skips them. Every live step
+        stamps ``scratch``: the episode's later imagined steps read it."""
         cfg = self.cfg
         act = _ACTIONS[a]
         s2 = transition(s, act, cfg, self.cam, self.occupancy, rng)
         key = self._observe_key(s2, act, rng)
-        x, y, z, f_crash, f_roi, _, vx, vy, present, _ = s2
+        x, y, z, f_crash, f_roi, f_dct, vx, vy, present, _ = s2
         d_w = self.d_w
-        if f_crash or f_roi:
-            eps = 0.0  # unused branch
-            d_v = d_w
-        else:
+        eps, d_v = 0.0, d_w
+        if not (f_crash or f_roi):
             l_top, l_bottom, l_left, l_right = footprint_extent(max(z, 1e-6), self.cam)
             x0, x1 = x + l_left, x + l_right
             y0, y1 = y + l_bottom, y + l_top
             cov_map = self.cov_map
-            eps = cov_map.rect_overlap(x0, y0, x1, y1, scratch)
+            if not f_dct:
+                eps = cov_map.rect_overlap(x0, y0, x1, y1, scratch)
+                if present:
+                    d_v = abs(x - vx) + abs(y - vy)
             cov_map.stamp_rect(x0, y0, x1, y1, scratch)
-            d_v = abs(x - vx) + abs(y - vy) if present else d_w
         r = reward(s2, act, eps, d_v, d_w, self.params, cfg)
         return s2, key, r, self.is_terminal(s2)
 

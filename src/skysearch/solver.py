@@ -108,14 +108,18 @@ def _simulate(node: BeliefNode, state, depth: int, model, cfg: SolverConfig,
     if depth >= cfg.max_depth:
         return 0.0
     # pick the first untried action, else UCB1
-    action = -1
     edges = node.edges
-    actions = range(model.n_actions) if allowed is None else allowed
-    for a in actions:
-        e = edges[a]
-        if e is None or e.n == 0:
-            action = a
-            break
+    if depth:  # below the root, actions are first tried once each in index order
+        actions = range(model.n_actions)
+        action = node.n_visits if node.n_visits < model.n_actions else -1
+    else:  # a root searched under ``allowed`` may have tried any subset
+        action = -1
+        actions = range(model.n_actions) if allowed is None else allowed
+        for a in actions:
+            e = edges[a]
+            if e is None or e.n == 0:
+                action = a
+                break
     if action < 0:
         log_n = math.log(node.n_visits)
         ucb_c, sqrt = cfg.ucb_c, math.sqrt

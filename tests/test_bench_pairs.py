@@ -95,3 +95,36 @@ def test_quality_means_per_side():
     assert means["parent"] == {"tp_pct": 50.0, "fp_pct": 0.0, "sim_confirm_s": 100.0,
                                "runs": 2}
     assert means["change"]["tp_pct"] == 50.0 and means["change"]["runs"] == 1
+
+
+TRACED_STDOUT = STDOUT.replace("trace=0", "trace=1").replace(
+    "  episodes_per_s = 14000 1/s\n",
+    "  model.step.calls = 500 count\n  coverage.rect_overlap.calls = 200 count\n").replace(
+    '"metrics": {"episodes_per_s": {"value": 14000.0, "unit": "1/s"}}',
+    '"metrics": {"model.step.calls": {"value": 500, "unit": "count"}, '
+    '"coverage.rect_overlap.calls": {"value": 200, "unit": "count"}}')
+COUNTS = ["model.step.calls", "coverage.rect_overlap.calls", "world.sense.calls"]
+
+
+def test_traced_output_with_a_fail_line_is_not_correct():
+    # the closing JSON may still read correct; a FAIL line on stderr outweighs it
+    fail = "FAIL call sites never reached: coverage.rect_overlap\n"
+    out = bench_pairs.parse_traced(TRACED_STDOUT, fail, COUNTS)
+    assert out["correct"] is False
+    assert out["fail_lines"] == [fail.strip()]
+    assert out["counts"] == {"model.step.calls": 500, "coverage.rect_overlap.calls": 200}
+    clean = bench_pairs.parse_traced(TRACED_STDOUT, "", COUNTS)
+    assert clean["correct"] and clean["fail_lines"] == []
+
+
+def test_traced_match_and_moved_counts():
+    def traced(overlaps, fail=""):
+        return {"exit": 1 if fail else 0, **bench_pairs.parse_traced(
+            TRACED_STDOUT.replace("200", str(overlaps)), fail, COUNTS)}
+
+    out = bench_pairs.compare_traced({"parent": traced(200), "change": traced(80)})
+    assert out["traced_match"]
+    assert out["traced"]["counts_moved"] == {"coverage.rect_overlap.calls": [200, 80]}
+    failed = bench_pairs.compare_traced(
+        {"parent": traced(200), "change": traced(200, "FAIL tracing changed a record\n")})
+    assert not failed["traced_match"] and failed["traced"]["counts_moved"] == {}

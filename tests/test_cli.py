@@ -222,6 +222,31 @@ class TestExitCodes:
         assert code == 2
         assert "cell" in capsys.readouterr().err
 
+    # id -> (subcommand, flag, value); each used to pass argument parsing
+    BAD_NUMBERS = {
+        "tolerance_nan": ("batch", "--tolerance", "nan"),  # every flight scored a miss
+        "tolerance_negative": ("batch", "--tolerance", "-1"),  # FP 100 %
+        "tolerance_inf": ("run", "--tolerance", "inf"),
+        "runs_zero": ("batch", "--runs", "0"),
+        "runs_text": ("compare", "--runs", "five"),
+        "cell_zero": ("heatmap", "--cell", "0"),  # failed after flying the batch
+        "cell_inf": ("heatmap", "--cell", "inf"),  # a 1x1 heatmap centred at inf
+        "cell_nan": ("heatmap", "--cell", "nan"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_NUMBERS)
+    def test_bad_number_rejected_before_any_flight(self, tmp_path, capsys, monkeypatch,
+                                                   case):
+        def fly(setup):
+            raise AssertionError("a flight started")
+        monkeypatch.setattr(cli, "execute_run", fly)
+        sub, flag, value = self.BAD_NUMBERS[case]
+        out = tmp_path / "out"
+        code = cli.cli_main([sub, "--scenario", "l1", "--out", str(out), flag, value])
+        assert code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()  # no records file, no heatmap
+
     def test_help_exits_zero(self):
         assert cli.cli_main(["--help"]) == 0
 

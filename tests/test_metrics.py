@@ -37,6 +37,12 @@ class TestComputeMetrics:
         m = compute_metrics([rec([]), rec([(10.0, 3.0)])], VICTIMS)
         assert m.tp_pct == 50.0 and m.fn_pct == 50.0 and m.fp_pct == 0.0
 
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        # nan scored every run a miss and -1 every coordinate a false positive
+        with pytest.raises(ValueError, match="tolerance"):
+            compute_metrics([rec([(10.0, 3.0)])], VICTIMS, tolerance)
+
     def test_tp_plus_fn_is_total(self):
         rng = Random(1)
         records = []
@@ -90,6 +96,12 @@ class TestComputeMetrics:
 
 class TestHeatmap:
     BOUNDS = Rect(0, 0, 10, 10)
+
+    @pytest.mark.parametrize("cell", [0.0, -1.0, math.inf, math.nan])
+    def test_cell_must_be_finite_and_positive(self, cell):
+        # inf gave a 1x1 heatmap whose cell centre is inf
+        with pytest.raises(ValueError, match="cell"):
+            export_heatmap([rec([(4.5, 6.5)])], self.BOUNDS, cell=cell)
 
     def test_zero_records_all_zero(self):
         counts, xs, ys = export_heatmap([rec([])], self.BOUNDS, cell=1.0)

@@ -90,6 +90,15 @@ class TestReward:
             assert reward(s, a, e, dv, D_W, rp2, CFG) == pytest.approx(
                 k * reward(s, a, e, dv, D_W, RP, CFG))
 
+    @given(x=st.floats(-1.0, 61.0), y=st.floats(-1.0, 7.0), z=st.floats(4.75, 16.5),
+           c_v=st.floats(0.0, 1.0), a=st.sampled_from(list(ActionCmd)),
+           eps=st.floats(0.0, 1.0), d_v=st.floats())
+    def test_detection_reward_reads_neither_overlap_nor_distance(self, x, y, z, c_v, a,
+                                                                  eps, d_v):
+        # GenerativeModel.step skips both on a detecting step
+        s = state(x=x, y=y, z=z, dct=True, c_v=c_v)
+        assert reward(s, a, eps, d_v, D_W, RP, CFG) == reward(s, a, 0.0, D_W, D_W, RP, CFG)
+
 
 class TestConfidenceModels:
     def test_paper_literal_value(self):
@@ -315,6 +324,33 @@ class TestGenerativeStep:
                     s = got[0]
                 assert fast_rng.getstate() == ref_rng.getstate()
         assert kind in reached
+
+    def test_detection_on_a_stamped_scratch_matches_reference(self):
+        # the step skips the overlap a detection never reads; here that
+        # overlap would be non-zero, and every output must still match
+        cfg = replace(CFG, obs_cell=2.0)
+        cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
+        model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID, cov_map=cov)
+        s = self.STARTS["detect"]
+        seen_before = 0
+        for seed in range(12):
+            for a in range(model.n_actions):
+                fast, ref = model.new_scratch(), model.new_scratch()
+                for scratch in (fast, ref):  # the left half of the start view
+                    cov.stamp_rect(s.x - 2.0, s.y - 2.0, s.x, s.y + 2.0, scratch)
+                before = fast.copy()
+                fast_rng, ref_rng = Random(seed), Random(seed)
+                got = model.step(s, a, fast_rng, fast)
+                assert got == reference_step(s, a, cfg, cov, ref, ref_rng)
+                assert np.array_equal(fast, ref)
+                assert fast_rng.getstate() == ref_rng.getstate()
+                s2 = got[0]
+                if s2.f_dct:
+                    l_top, l_bottom, l_left, l_right = footprint_extent(s2.z, CAM)
+                    seen_before += cov.rect_overlap(s2.x + l_left, s2.y + l_bottom,
+                                                    s2.x + l_right, s2.y + l_top,
+                                                    before) > 0.0
+        assert seen_before > 0
 
 
 class TestTerminal:

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from skysearch import solver
 from skysearch.coverage import CoverageMap, Rect
 from skysearch.geometry import CameraIntrinsics, EnuPoint
 from skysearch.model import (GenerativeModel, ModelConfig, Observation, PomdpState,
@@ -85,6 +86,40 @@ class BanditModel:
 
     def step(self, s, a, rng, scratch):
         return s, 0, self.MEANS[a] + rng.gauss(0.0, 0.5), True
+
+
+class RecordingModel:
+    """Deterministic tree of action histories: a state is the tuple of the
+    actions taken so far and is its own observation key, so each state
+    belongs to exactly one search node. Records every (state, action) step."""
+
+    gamma = 0.9
+    max_abs_reward = 1.0
+
+    def __init__(self, n_actions=5):
+        self.n_actions = n_actions
+        self.calls = []
+
+    def new_scratch(self):
+        return None
+
+    def step(self, s, a, rng, scratch):
+        self.calls.append((s, a))
+        s2 = s + (a,)
+        return s2, s2, rng.random() * (a + 1) / self.n_actions, False
+
+    def resimulate(self, s, a, rng):
+        return s + (a,), s + (a,)
+
+    def obs_key_of(self, observed):
+        return observed
+
+    def is_terminal(self, s):
+        return False
+
+    def tried(self, state):
+        """The actions the search stepped from ``state``, in order."""
+        return [a for s, a in self.calls if s == state]
 
 
 def chain_belief(n=2000):
@@ -167,6 +202,41 @@ class TestPlanStep:
         with pytest.raises(AssertionError):
             plan_step(BeliefNode(3, chain_belief()), liar,
                       SolverConfig(episodes_per_step=200, ucb_c=2.0), Random(0))
+
+
+class TestExpansionOrder:
+    # with rollouts stubbed out, every model step is a tree step, and the
+    # recorded actions per state are the choices of that state's node
+
+    def test_nodes_below_the_root_try_actions_in_index_order(self, monkeypatch):
+        monkeypatch.setattr(solver, "_rollout", lambda *args: 0.0)
+        model = RecordingModel()
+        root = BeliefNode(model.n_actions, ParticleBelief([()], target_size=1))
+        plan_step(root, model, SolverConfig(max_depth=3, ucb_c=1.0), Random(3),
+                  episodes=400)
+        below = {s for s, _ in model.calls if s}
+        n = model.n_actions
+        for s in below:
+            tried = model.tried(s)
+            assert tried[:n] == list(range(min(len(tried), n)))
+        assert sum(len(model.tried(s)) > n for s in below) >= n  # UCB took over
+
+    def test_reused_root_tries_untried_allowed_actions_first(self, monkeypatch):
+        monkeypatch.setattr(solver, "_rollout", lambda *args: 0.0)
+        model = RecordingModel()
+        cfg = SolverConfig(max_depth=3)
+        rng = Random(5)
+        root = BeliefNode(model.n_actions, ParticleBelief([()], target_size=1))
+        # three episodes through action 0: its child is then visited twice
+        # below the root and has tried actions 0 and 1
+        plan_step(root, model, cfg, rng, allowed=[0], episodes=3)
+        root = advance_belief(root, 0, (0,), model, cfg, rng)
+        assert [a for a, e in enumerate(root.edges) if e is not None] == [0, 1]
+        model.calls.clear()
+        plan_step(root, model, cfg, rng, allowed=[1, 2, 4], episodes=20)
+        tried = model.tried((0,))
+        assert tried[:2] == [2, 4]
+        assert set(tried) == {1, 2, 4}
 
 
 class TestBootstrap:
