@@ -17,7 +17,7 @@ from pathlib import Path
 from .configio import ConfigError
 from .coverage import Rect
 from .geometry import CameraIntrinsics, EnuPoint, footprint_corners_world, footprint_extent
-from .metrics import (compute_metrics, export_heatmap, metrics_table,
+from .metrics import (compute_metrics, export_heatmap, heatmap_shape, metrics_table,
                       write_heatmap_csv, write_heatmap_pgm, write_metrics_csv)
 from .missions import RunRecord, build_setup, execute_run
 from .solver import BeliefCollapseError
@@ -52,8 +52,8 @@ def run_batch(scenario: Scenario, mode: str, runs: int, seed: int, *,
     setups = [build_setup(scenario, mode, f"{seed}:{i}") for i in range(runs)]
     workers = min(workers, runs)
     if workers > 1:
-        # spawn, not fork: importing numpy already starts a BLAS thread, and
-        # a forked child copies any lock it holds without the thread itself
+        # spawn, not fork: a caller's thread (the test suite's scipy BLAS) may
+        # hold a lock that a forked child copies without the thread itself
         import multiprocessing as mp
         with mp.get_context("spawn").Pool(workers) as pool:
             return pool.map(execute_run, setups)
@@ -131,17 +131,21 @@ def _cmd_compare(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     scenario = _load(args)
+    margin = 2.0
+    s = scenario.cfg.survey
+    bounds = Rect(s.x_min - margin, s.y_min - margin, s.x_max + margin, s.y_max + margin)
+    try:  # before any flight: the batch is lost when the heatmap cannot be built
+        heatmap_shape(bounds, args.cell)
+    except ValueError as exc:
+        raise ConfigError(f"--cell: {exc}") from None
     out = _out_dir(args)
     records = run_batch(scenario, args.mode, args.runs, scenario.seed,
                         workers=args.workers)
     write_records(out / f"records_{args.mode}.jsonl", records)
-    margin = 2.0
-    s = scenario.cfg.survey
-    bounds = Rect(s.x_min - margin, s.y_min - margin, s.x_max + margin, s.y_max + margin)
     counts, xs, ys = export_heatmap(records, bounds, cell=args.cell)
     write_heatmap_csv(out / f"heatmap_{args.mode}.csv", counts, xs, ys)
     write_heatmap_pgm(out / f"heatmap_{args.mode}.pgm", counts)
-    print(f"heatmap over {counts.sum()} recorded coordinate(s) "
+    print(f"heatmap over {sum(map(sum, counts))} recorded coordinate(s) "
           f"written to {out / f'heatmap_{args.mode}.csv'}")
     return 0
 

@@ -2,16 +2,16 @@
 
 Backs the footprint-overlap penalty used by the planner's reward and the
 coverage statistics used by the mission harness. Cells are binary
-seen-flags; once set they never clear within a run. Tree search works on
-throwaway copies of the cell array (`snapshot`), never on the live map.
+seen-flags, one Python int bitset per row (standard library only, for a cheap
+cold start); once set they never clear within a run. Tree search works on
+throwaway copies of the rows (`snapshot`), never on the live map.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .geometry import Footprint
 
@@ -45,13 +45,18 @@ class Rect:
         return self.width + self.height
 
 
+class Snapshot(list):
+    """Copied raster rows; ``nbytes``, ny * ceil(nx / 8), is the size perfbench traces."""
+    __slots__ = ("nbytes",)
+
+
 @dataclass
 class CoverageMap:
     """Seen-flag raster covering the survey area plus ``MARGIN`` per side.
 
-    ``cells[iy, ix]`` is 1 when the cell centre has been inside some stamped
-    footprint. The margin is at least one footprint so that stamps near the
-    survey edge are not clipped.
+    Bit ``ix`` of ``cells[iy]`` is set when the centre of cell ``(iy, ix)``
+    has been inside some stamped footprint. The margin is at least one
+    footprint so that stamps near the survey edge are not clipped.
     """
 
     MARGIN = 10.0  # metres of raster beyond each survey edge
@@ -62,7 +67,7 @@ class CoverageMap:
     origin_y: float = field(init=False)
     nx: int = field(init=False)
     ny: int = field(init=False)
-    cells: np.ndarray = field(init=False, repr=False)
+    cells: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.cell_size <= 0:
@@ -70,7 +75,7 @@ class CoverageMap:
         self.origin_x = self.survey.x_min - self.MARGIN
         self.origin_y = self.survey.y_min - self.MARGIN
         self.ny, self.nx = self.raster_shape(self.survey, self.cell_size)
-        self.cells = np.zeros((self.ny, self.nx), dtype=np.uint8)
+        self.cells = [0] * self.ny
 
     @classmethod
     def raster_shape(cls, survey: Rect, cell_size: float) -> tuple[int, int]:
@@ -93,13 +98,15 @@ class CoverageMap:
         return (r0 if r0 > 0 else 0, r1 if r1 < last_r else last_r,
                 c0 if c0 > 0 else 0, c1 if c1 < last_c else last_c)
 
-    def snapshot(self) -> np.ndarray:
-        """Copy of the cell array for use as a search-time scratch view."""
-        return self.cells.copy()
+    def snapshot(self) -> Snapshot:
+        """Copy of the rows for use as a search-time scratch view."""
+        copy = Snapshot(self.cells)
+        copy.nbytes = self.ny * ((self.nx + 7) // 8)
+        return copy
 
     # -- stamping ------------------------------------------------------
 
-    def stamp_footprint(self, fp: Footprint, cells: np.ndarray | None = None) -> None:
+    def stamp_footprint(self, fp: Footprint, cells: list[int] | None = None) -> None:
         """Set every cell whose centre lies inside the footprint.
 
         Out-of-map portions are clipped silently. ``cells`` lets the planner
@@ -108,73 +115,71 @@ class CoverageMap:
         if self._axis_aligned(fp):
             self.stamp_rect(*fp.bbox(), cells)
             return
-        window, inside = self._quad_mask(fp, cells)
-        if window is not None:
-            window[inside] = 1
+        target = self.cells if cells is None else cells
+        for r, mask in self._quad_rows(fp):
+            target[r] |= mask
 
     def stamp_rect(self, x0: float, y0: float, x1: float, y1: float,
-                   cells: np.ndarray | None = None) -> None:
+                   cells: list[int] | None = None) -> None:
         """Fast path for axis-aligned footprints (the yaw = 0 flight case)."""
         target = self.cells if cells is None else cells
         r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
         if c0 <= c1 and r0 <= r1:
-            target[r0:r1 + 1, c0:c1 + 1].fill(1)
+            mask = ((1 << (c1 - c0 + 1)) - 1) << c0
+            for r in range(r0, r1 + 1):
+                target[r] |= mask
 
     # -- queries -------------------------------------------------------
 
-    def overlap_fraction(self, fp: Footprint, cells: np.ndarray | None = None) -> float:
+    def overlap_fraction(self, fp: Footprint, cells: list[int] | None = None) -> float:
         """Fraction of the footprint's cells already seen (0 virgin, 1 fully
         revisited). A footprint covering zero cells counts as fully seen so
         degenerate views are never rewarded."""
         if self._axis_aligned(fp):
             return self.rect_overlap(*fp.bbox(), cells)
-        window, inside = self._quad_mask(fp, cells)
-        n = 0 if window is None else int(np.count_nonzero(inside))
-        if n == 0:
-            return 1.0
-        return float(np.count_nonzero(window[inside])) / n
+        source = self.cells if cells is None else cells
+        n = seen = 0
+        for r, mask in self._quad_rows(fp):
+            n += mask.bit_count()
+            seen += (source[r] & mask).bit_count()
+        return seen / n if n else 1.0
 
     def rect_overlap(self, x0: float, y0: float, x1: float, y1: float,
-                     cells: np.ndarray | None = None) -> float:
+                     cells: list[int] | None = None) -> float:
         """`overlap_fraction` fast path for axis-aligned rectangles."""
         source = self.cells if cells is None else cells
         r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
         if c0 > c1 or r0 > r1:
             return 1.0
-        block = source[r0:r1 + 1, c0:c1 + 1]
-        return float(np.count_nonzero(block)) / block.size
+        mask = ((1 << (c1 - c0 + 1)) - 1) << c0
+        seen = 0
+        for row in source[r0:r1 + 1]:
+            seen += (row & mask).bit_count()
+        return seen / ((r1 - r0 + 1) * (c1 - c0 + 1))
 
-    def coverage_ratio(self, survey: Rect | None = None) -> float:
+    def coverage_ratio(self) -> float:
         """Fraction of survey-area cells seen so far."""
-        rect = self.survey if survey is None else survey
-        r0, r1, c0, c1 = self._window(rect.x_min, rect.y_min, rect.x_max, rect.y_max)
+        s = self.survey
+        r0, r1, c0, c1 = self._window(s.x_min, s.y_min, s.x_max, s.y_max)
         if c0 > c1 or r0 > r1:
             return 0.0
-        block = self.cells[r0:r1 + 1, c0:c1 + 1]
-        return float(np.count_nonzero(block)) / block.size
+        return self.rect_overlap(s.x_min, s.y_min, s.x_max, s.y_max)
 
     # -- internals -----------------------------------------------------
 
-    def _quad_mask(self, fp: Footprint, cells: np.ndarray | None):
-        """The window of ``cells`` under the footprint's bounding box and the
-        mask of its cells whose centres lie inside the (convex) footprint,
-        by a vectorized half-plane test; ``(None, None)`` when the box misses
-        the map."""
-        x0, y0, x1, y1 = fp.bbox()
-        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
-        if c0 > c1 or r0 > r1:
-            return None, None
-        cx = self.origin_x + (np.arange(c0, c1 + 1) + 0.5) * self.cell_size
-        cy = self.origin_y + (np.arange(r0, r1 + 1) + 0.5) * self.cell_size
-        gx, gy = np.meshgrid(cx, cy)
-        inside = np.ones(gx.shape, dtype=bool)
+    def _quad_rows(self, fp: Footprint) -> Iterator[tuple[int, int]]:
+        """``(row, column mask)`` for each row under the footprint's bounding
+        box: the cells whose centres pass every edge's half-plane test (1e-12
+        tolerance) of the convex, counterclockwise footprint."""
+        r0, r1, c0, c1 = self._window(*fp.bbox())
+        ox, oy, size = self.origin_x, self.origin_y, self.cell_size
         cs = fp.corners
-        for i in range(len(cs)):
-            ax, ay = cs[i]
-            bx, by = cs[(i + 1) % len(cs)]
-            inside &= (bx - ax) * (gy - ay) - (by - ay) * (gx - ax) >= -1e-12
-        target = self.cells if cells is None else cells
-        return target[r0:r1 + 1, c0:c1 + 1], inside
+        edges = [(ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(cs, cs[1:] + cs[:1])]
+        for r in range(r0, r1 + 1):
+            y = oy + (r + 0.5) * size
+            yield r, sum(1 << c for c in range(c0, c1 + 1) if all(
+                ex * (y - ay) - ey * (ox + (c + 0.5) * size - ax) >= -1e-12
+                for ax, ay, ex, ey in edges))
 
     @staticmethod
     def _axis_aligned(fp: Footprint) -> bool:

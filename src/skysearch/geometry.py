@@ -15,6 +15,12 @@ class HorizonError(ValueError):
     ground footprint would be unbounded."""
 
 
+class _Unbounded:
+    """The extents of a camera that sees the horizon: unpacking them raises."""
+    def __iter__(self):
+        raise HorizonError("camera ray at or above horizon: footprint unbounded")
+
+
 @dataclass(frozen=True, slots=True)
 class EnuPoint:
     """Point in the local east-north-up frame (metres)."""
@@ -31,6 +37,9 @@ class CameraIntrinsics:
     ``pitch`` tilts the view about the camera's horizontal axis (affects the
     along-y extents), ``roll`` about the other axis (affects the along-x
     extents); both are radians from straight down.
+
+    ``extent_1m`` is ``footprint_extent`` at 1 m: every extent is linear in
+    altitude. Unpacking it raises ``HorizonError`` if the view is unbounded.
     """
 
     lens_width_mm: float = 2.06
@@ -44,20 +53,27 @@ class CameraIntrinsics:
             raise ValueError("lens dimensions and focal length must be positive")
         if abs(self.pitch) >= math.pi / 2 or abs(self.roll) >= math.pi / 2:
             raise ValueError("camera tilt angles must be below 90 degrees")
-        # per-metre extent ratios for the straight-down fast path
-        object.__setattr__(self, "_tan_h", self.lens_height_mm / (2.0 * self.focal_mm))
-        object.__setattr__(self, "_tan_w", self.lens_width_mm / (2.0 * self.focal_mm))
-        object.__setattr__(self, "_nadir", self.pitch == 0.0 and self.roll == 0.0)
+        tan_h = self.lens_height_mm / (2.0 * self.focal_mm)
+        tan_w = self.lens_width_mm / (2.0 * self.focal_mm)
+        ha_h, ha_w = math.atan(tan_h), math.atan(tan_w)
+        if self.pitch == 0.0 and self.roll == 0.0:
+            unit = (tan_h, -tan_h, -tan_w, tan_w)
+        elif abs(self.pitch) + ha_h >= math.pi / 2 or abs(self.roll) + ha_w >= math.pi / 2:
+            unit = _Unbounded()
+        else:
+            unit = (math.tan(self.pitch + ha_h), math.tan(self.pitch - ha_h),
+                    math.tan(self.roll - ha_w), math.tan(self.roll + ha_w))
+        object.__setattr__(self, "extent_1m", unit)
 
     @property
     def half_angle_h(self) -> float:
         """Half view angle across the lens height (radians)."""
-        return math.atan(self._tan_h)
+        return math.atan(self.lens_height_mm / (2.0 * self.focal_mm))
 
     @property
     def half_angle_w(self) -> float:
         """Half view angle across the lens width (radians)."""
-        return math.atan(self._tan_w)
+        return math.atan(self.lens_width_mm / (2.0 * self.focal_mm))
 
 
 @dataclass(frozen=True)
@@ -92,20 +108,8 @@ def footprint_extent(altitude: float, cam: CameraIntrinsics) -> tuple[float, flo
     """
     if altitude <= 0:
         raise ValueError(f"altitude must be positive, got {altitude}")
-    if cam._nadir:
-        ly = altitude * cam._tan_h
-        lx = altitude * cam._tan_w
-        return ly, -ly, -lx, lx
-    ha_h = cam.half_angle_h
-    ha_w = cam.half_angle_w
-    limit = math.pi / 2
-    if (abs(cam.pitch) + ha_h) >= limit or (abs(cam.roll) + ha_w) >= limit:
-        raise HorizonError("camera ray at or above horizon: footprint unbounded")
-    l_top = altitude * math.tan(cam.pitch + ha_h)
-    l_bottom = altitude * math.tan(cam.pitch - ha_h)
-    l_left = altitude * math.tan(cam.roll - ha_w)
-    l_right = altitude * math.tan(cam.roll + ha_w)
-    return l_top, l_bottom, l_left, l_right
+    top, bottom, left, right = cam.extent_1m
+    return altitude * top, altitude * bottom, altitude * left, altitude * right
 
 
 def footprint_corners_world(uav: EnuPoint, yaw: float, cam: CameraIntrinsics) -> Footprint:

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coverage import Rect
 from .missions import RunRecord
+from .model import MAX_RASTER_CELLS
 
 
 @dataclass
@@ -96,42 +95,54 @@ def write_metrics_csv(path, rows: list[Metrics]) -> None:
                      f"{m.time_mean_s:.6f},{m.time_sd_s:.6f},{m.time_se_s:.6f},{m.n_timed}\n")
 
 
+def heatmap_shape(bounds: Rect, cell: float) -> tuple[int, int]:
+    """Rows and columns of the heatmap over ``bounds``; ``ValueError`` unless
+    ``cell`` is finite and positive and gives at most ``MAX_RASTER_CELLS``."""
+    if not 0 < cell < math.inf:
+        raise ValueError(f"heatmap cell size must be finite and positive, got {cell}")
+    try:
+        nx = max(1, int(math.ceil(bounds.width / cell)))
+        ny = max(1, int(math.ceil(bounds.height / cell)))
+    except OverflowError:  # an extent over a tiny cell that overflows to inf
+        ny = nx = math.inf
+    if not ny * nx <= MAX_RASTER_CELLS:
+        raise ValueError(f"a heatmap cell of {cell:g} m over {bounds.width:g} x {bounds.height:g}"
+                         f" m needs {ny * nx:.3g} cells, more than {MAX_RASTER_CELLS:.0e}")
+    return ny, nx
+
+
 def export_heatmap(records: list[RunRecord], bounds: Rect, cell: float = 1.0
-                   ) -> tuple[np.ndarray, list[float], list[float]]:
+                   ) -> tuple[list[list[int]], list[float], list[float]]:
     """2D histogram of every recorded victim coordinate across runs.
 
-    Returns (counts, x_centres, y_centres); counts is indexed [iy, ix].
+    Returns (counts, x_centres, y_centres); counts is indexed [iy][ix].
     Coordinates outside the bounds are clipped into the border cells so no
     record is silently dropped.
     """
-    if not 0 < cell < math.inf:
-        raise ValueError(f"heatmap cell size must be finite and positive, got {cell}")
-    nx = max(1, int(math.ceil(bounds.width / cell)))
-    ny = max(1, int(math.ceil(bounds.height / cell)))
-    counts = np.zeros((ny, nx), dtype=np.int64)
+    ny, nx = heatmap_shape(bounds, cell)
+    counts = [[0] * nx for _ in range(ny)]
     for rec in records:
         for x, y in rec.recorded:
             ix = min(max(int((x - bounds.x_min) / cell), 0), nx - 1)
             iy = min(max(int((y - bounds.y_min) / cell), 0), ny - 1)
-            counts[iy, ix] += 1
+            counts[iy][ix] += 1
     xs = [bounds.x_min + (i + 0.5) * cell for i in range(nx)]
     ys = [bounds.y_min + (i + 0.5) * cell for i in range(ny)]
     return counts, xs, ys
 
 
-def write_heatmap_csv(path, counts: np.ndarray, xs: list[float], ys: list[float]) -> None:
+def write_heatmap_csv(path, counts: list[list[int]], xs: list[float], ys: list[float]) -> None:
     with open(path, "w") as fh:
         fh.write("x,y,count\n")
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                fh.write(f"{x:.3f},{y:.3f},{int(counts[iy, ix])}\n")
+        for y, row in zip(ys, counts):
+            for x, n in zip(xs, row):
+                fh.write(f"{x:.3f},{y:.3f},{n}\n")
 
 
-def write_heatmap_pgm(path, counts: np.ndarray) -> None:
-    peak = int(counts.max()) if counts.size else 0
+def write_heatmap_pgm(path, counts: list[list[int]]) -> None:
+    peak = max((n for row in counts for n in row), default=0)
     scale = 255.0 / peak if peak else 0.0
-    ny = counts.shape[0]
     with open(path, "w") as fh:
-        fh.write(f"P2\n{counts.shape[1]} {ny}\n255\n")
-        for iy in range(ny - 1, -1, -1):
-            fh.write(" ".join(str(int(v * scale)) for v in counts[iy]) + "\n")
+        fh.write(f"P2\n{len(counts[0])} {len(counts)}\n255\n")
+        for row in reversed(counts):
+            fh.write(" ".join(str(int(n * scale)) for n in row) + "\n")

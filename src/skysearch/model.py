@@ -221,15 +221,17 @@ def action_displacement(a: ActionCmd, z: float, cam: CameraIntrinsics,
         if a == _HOVER:
             return 0.0, 0.0, 0.0
         return 0.0, 0.0, cfg.climb_step if a == _UP else -cfg.climb_step
-    l_top, l_bottom, l_left, l_right = footprint_extent(z, cam)
+    if z <= 0:
+        raise ValueError(f"altitude must be positive, got {z}")
+    top, bottom, left, right = cam.extent_1m
     keep = 1.0 - cfg.overlap  # ``overlap`` is range-checked by ModelConfig
     if a == _FORWARD:
-        return (l_right - l_left) * keep, 0.0, 0.0
+        return (z * right - z * left) * keep, 0.0, 0.0
     if a == _BACKWARD:
-        return -((l_right - l_left) * keep), 0.0, 0.0
+        return -((z * right - z * left) * keep), 0.0, 0.0
     if a == _LEFT:
-        return 0.0, (l_top - l_bottom) * keep, 0.0
-    return 0.0, -((l_top - l_bottom) * keep), 0.0
+        return 0.0, (z * top - z * bottom) * keep, 0.0
+    return 0.0, -((z * top - z * bottom) * keep), 0.0
 
 
 def transition(s: PomdpState, a: ActionCmd, cfg: ModelConfig, cam: CameraIntrinsics,
@@ -265,8 +267,10 @@ def transition(s: PomdpState, a: ActionCmd, cfg: ModelConfig, cam: CameraIntrins
     f_dct = False
     c_v = 0.0
     if present and not f_crash and not f_roi:
-        l_top, l_bottom, l_left, l_right = footprint_extent(max(nz, 1e-6), cam)
-        if nx + l_left <= vx <= nx + l_right and ny + l_bottom <= vy <= ny + l_top:
+        # ``footprint_extent(max(nz, 1e-6), cam)``, multiplied out inline
+        top, bottom, left, right = cam.extent_1m
+        h = 1e-6 if nz < 1e-6 else nz
+        if nx + h * left <= vx <= nx + h * right and ny + h * bottom <= vy <= ny + h * top:
             f_dct = True
             c_v = modeled_confidence(abs(nx - vx) + abs(ny - vy) + nz, cfg)
     return _tuple_new(PomdpState, (nx, ny, nz, f_crash, f_roi, f_dct, vx, vy, present, c_v))
@@ -466,9 +470,11 @@ class GenerativeModel:
         d_w = self.d_w
         eps, d_v = 0.0, d_w
         if not (f_crash or f_roi):
-            l_top, l_bottom, l_left, l_right = footprint_extent(max(z, 1e-6), self.cam)
-            x0, x1 = x + l_left, x + l_right
-            y0, y1 = y + l_bottom, y + l_top
+            # ``footprint_extent(max(z, 1e-6), cam)``, multiplied out inline
+            top, bottom, left, right = self.cam.extent_1m
+            h = 1e-6 if z < 1e-6 else z
+            x0, x1 = x + h * left, x + h * right
+            y0, y1 = y + h * bottom, y + h * top
             cov_map = self.cov_map
             if not f_dct:
                 eps = cov_map.rect_overlap(x0, y0, x1, y1, scratch)

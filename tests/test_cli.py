@@ -197,7 +197,7 @@ class TestExitCodes:
         # both were clamped by WindProcess without a word
         "wind_rate_negative": ("offboard", "wind = -1 5"),
         "wind_duration_negative": ("offboard", "wind = 0.01 -50"),
-        "survey_huge": ("mission", "survey = 0 0 1e9 1e9"),  # raw numpy allocation error
+        "survey_huge": ("mission", "survey = 0 0 1e9 1e9"),  # a raw allocation error
         "survey_overflow": ("mission", "survey = -1e308 0 1e308 10"),  # width is inf
         "origin": ("offboard", "origin = -27.4 152.9"),  # the key was read but never used
         # transition and _observe_key skipped the noise; reinvigorate drew with it
@@ -221,6 +221,20 @@ class TestExitCodes:
                              "--out", str(tmp_path)])
         assert code == 2
         assert "cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["1e-6", "1e-320"])
+    def test_heatmap_cell_count_bounded_before_any_flight(self, tmp_path, capsys,
+                                                          monkeypatch, cell):
+        # both flew the batch and wrote its records first; 1e-6 then died
+        # allocating PiB of counts, 1e-320 overflowed the column count to inf
+        def fly(setup):
+            raise AssertionError("a flight started")
+        monkeypatch.setattr(cli, "execute_run", fly)
+        code = cli.cli_main(["heatmap", "--scenario", "l1", "--runs", "1", "--cell", cell,
+                             "--out", str(tmp_path)])
+        assert code == 2
+        assert "--cell" in capsys.readouterr().err
+        assert not list(tmp_path.glob("records_*.jsonl"))
 
     # id -> (subcommand, flag, value); each used to pass argument parsing
     BAD_NUMBERS = {

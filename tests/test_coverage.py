@@ -3,8 +3,8 @@
 import math
 from random import Random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skysearch.coverage import CoverageMap, Rect
 from skysearch.geometry import CameraIntrinsics, EnuPoint, footprint_corners_world
@@ -14,6 +14,10 @@ CAM = CameraIntrinsics()
 
 def fresh_map():
     return CoverageMap(Rect(0.0, 0.0, 60.0, 6.0), cell_size=0.5)
+
+
+def seen_count(cells):
+    return sum(row.bit_count() for row in cells)
 
 
 def fp_at(x, y, z=16.0, yaw=0.0):
@@ -39,7 +43,7 @@ class TestStamp:
         cov = fresh_map()
         fp = fp_at(30.0, 3.0)
         cov.stamp_footprint(fp)
-        n = int(np.count_nonzero(cov.cells))
+        n = seen_count(cov.cells)
         area_cells = fp.area() / cov.cell_size ** 2
         perimeter_band = 2 * (7.02 + 5.18) / cov.cell_size  # one-cell boundary strip
         assert abs(n - area_cells) <= perimeter_band
@@ -50,12 +54,12 @@ class TestStamp:
         cov.stamp_footprint(fp)
         once = cov.cells.copy()
         cov.stamp_footprint(fp)
-        assert np.array_equal(cov.cells, once)
+        assert cov.cells == once
 
     def test_fully_outside_is_noop(self):
         cov = fresh_map()
         cov.stamp_footprint(fp_at(500.0, 500.0))
-        assert not cov.cells.any()
+        assert not any(cov.cells)
 
     def test_never_clears_cells(self):
         cov = fresh_map()
@@ -64,7 +68,7 @@ class TestStamp:
         for _ in range(50):
             cov.stamp_footprint(fp_at(rng.uniform(0, 60), rng.uniform(0, 6),
                                       rng.uniform(5.5, 16)))
-            now = int(np.count_nonzero(cov.cells))
+            now = seen_count(cov.cells)
             assert now >= prev
             prev = now
 
@@ -149,3 +153,92 @@ class TestCoverageRatio:
         cov.stamp_rect(x0, y0, x1, y1)
         assert cov.overlap_fraction(fp) == 1.0
         assert cov.rect_overlap(x0, y0, x1, y1) == 1.0
+
+
+class TestAgainstCellCentreOracle:
+    """Every raster operation against a brute-force set of seen cells.
+
+    The rule the raster implements: a cell is under an axis-aligned
+    rectangle [x0, x1] x [y0, y1] when its centre lies inside it, edges
+    included, and under a yawed footprint when its centre lies inside the
+    footprint's bounding box and on the inner side of every edge, within
+    -1e-12 of the half-plane test. Coordinates are multiples of 1/64 m, so
+    the rectangle comparisons are exact and centres land on edges.
+    """
+
+    SURVEY = Rect(0.0, 0.0, 10.0, 4.0)
+
+    @staticmethod
+    def centres(cov):
+        return ([(ix, cov.origin_x + (ix + 0.5) * cov.cell_size) for ix in range(cov.nx)],
+                [(iy, cov.origin_y + (iy + 0.5) * cov.cell_size) for iy in range(cov.ny)])
+
+    @classmethod
+    def rect_cells(cls, cov, x0, y0, x1, y1):
+        xs, ys = cls.centres(cov)
+        return {(iy, ix) for iy, cy in ys if y0 <= cy <= y1
+                for ix, cx in xs if x0 <= cx <= x1}
+
+    @classmethod
+    def quad_cells(cls, cov, fp):
+        x0, y0, x1, y1 = fp.bbox()
+        cs = fp.corners
+        edges = list(zip(cs, cs[1:] + cs[:1]))
+        return {(iy, ix) for iy, ix in cls.rect_cells(cov, x0, y0, x1, y1)
+                if all((bx - ax) * (cov.origin_y + (iy + 0.5) * cov.cell_size - ay)
+                       - (by - ay) * (cov.origin_x + (ix + 0.5) * cov.cell_size - ax)
+                       >= -1e-12 for (ax, ay), (bx, by) in edges)}
+
+    @staticmethod
+    def as_set(cov, cells):
+        assert len(cells) == cov.ny
+        assert all(0 <= row < 1 << cov.nx for row in cells)  # no bit past the last column
+        return {(iy, ix) for iy, row in enumerate(cells) for ix in range(cov.nx)
+                if row >> ix & 1}
+
+    @staticmethod
+    def fraction(seen, under, empty):
+        return len(seen & under) / len(under) if under else empty
+
+    metres = st.integers(-16 * 64, 26 * 64).map(lambda k: k / 64)
+    boxes = st.tuples(metres, metres, metres, metres).map(
+        lambda v: ("box", (min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3]))))
+    # yaw 0 gives an axis-aligned footprint; the other yaws stay clear of it
+    footprints = st.builds(
+        lambda x, y, z, yaw: ("yawed" if yaw else "upright",
+                              footprint_corners_world(EnuPoint(x, y, z), yaw, CAM)),
+        metres, metres, st.integers(4 * 64, 16 * 64).map(lambda k: k / 64),
+        st.one_of(st.just(0.0), st.floats(0.05, math.pi / 2 - 0.05)))
+    # (kind, shape, stamp the scratch instead of the live map), or a new scratch
+    ops = st.one_of(st.tuples(st.one_of(boxes, footprints), st.booleans()).map(
+        lambda t: (*t[0], t[1])), st.just(("snapshot", None, None)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(cell=st.sampled_from([0.5, 2.0]), ops=st.lists(ops, min_size=1, max_size=10))
+    def test_operations_match_the_oracle(self, cell, ops):
+        cov = CoverageMap(self.SURVEY, cell_size=cell)
+        s = self.SURVEY
+        survey = self.rect_cells(cov, s.x_min, s.y_min, s.x_max, s.y_max)
+        scratch, live, mine = cov.snapshot(), set(), set()
+        for kind, shape, on_scratch in ops:
+            before = self.as_set(cov, cov.cells)
+            if kind == "snapshot":
+                scratch, mine = cov.snapshot(), set(live)
+                assert scratch.nbytes == cov.ny * math.ceil(cov.nx / 8)
+            else:
+                cells, seen = (scratch, mine) if on_scratch else (None, live)
+                if kind == "box":
+                    under = self.rect_cells(cov, *shape)
+                    assert cov.rect_overlap(*shape, cells) == self.fraction(seen, under, 1.0)
+                    cov.stamp_rect(*shape, cells)
+                else:
+                    under = (self.quad_cells(cov, shape) if kind == "yawed"
+                             else self.rect_cells(cov, *shape.bbox()))
+                    assert cov.overlap_fraction(shape, cells) == self.fraction(seen, under, 1.0)
+                    cov.stamp_footprint(shape, cells)
+                seen |= under
+            after = self.as_set(cov, cov.cells)
+            assert before <= after  # cells never clear
+            assert after == live  # a scratch stamp never reaches the live map
+            assert self.as_set(cov, scratch) == mine
+            assert cov.coverage_ratio() == self.fraction(live, survey, 0.0)

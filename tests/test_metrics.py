@@ -103,16 +103,21 @@ class TestHeatmap:
         with pytest.raises(ValueError, match="cell"):
             export_heatmap([rec([(4.5, 6.5)])], self.BOUNDS, cell=cell)
 
+    def test_cell_count_is_bounded(self):
+        # 1e-4 m over 10 x 10 m is 1e10 counts; the bound rejects it unallocated
+        with pytest.raises(ValueError, match="cells"):
+            export_heatmap([rec([(4.5, 6.5)])], self.BOUNDS, cell=1e-4)
+
     def test_zero_records_all_zero(self):
         counts, xs, ys = export_heatmap([rec([])], self.BOUNDS, cell=1.0)
-        assert counts.shape == (10, 10)
-        assert counts.sum() == 0
+        assert (len(counts), len(counts[0])) == (10, 10)
+        assert sum(map(sum, counts)) == 0
 
     def test_point_mass_single_cell(self):
         counts, _, _ = export_heatmap([rec([(4.5, 6.5)]) for _ in range(9)],
                                       self.BOUNDS, cell=1.0)
-        assert counts.sum() == 9
-        assert counts[6, 4] == 9
+        assert sum(map(sum, counts)) == 9
+        assert counts[6][4] == 9
 
     def test_two_clusters_two_components(self):
         from scipy import ndimage
@@ -122,7 +127,7 @@ class TestHeatmap:
             records.append(rec([(2.0 + rng.gauss(0, 0.3), 2.0 + rng.gauss(0, 0.3)),
                                 (8.0 + rng.gauss(0, 0.3), 8.0 + rng.gauss(0, 0.3))]))
         counts, _, _ = export_heatmap(records, self.BOUNDS, cell=1.0)
-        _, n = ndimage.label(counts >= 3)
+        _, n = ndimage.label(np.asarray(counts) >= 3)
         assert n == 2
 
     def test_csv_and_pgm_outputs(self, tmp_path):

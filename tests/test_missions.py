@@ -1,11 +1,16 @@
 """Flight modes: survey planning, the three run loops, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import skysearch
 from skysearch.coverage import Rect
 from skysearch.geometry import CameraIntrinsics
 from skysearch.missions import (OUTCOMES, RunRecord, build_setup, execute_run,
@@ -243,3 +248,20 @@ def test_fuzzed_short_flights_keep_the_record_invariants(sc, seed):
         for row in rec.solver_trace:
             assert row["particles"] == sc.solver.n_particles
             assert 0.0 <= row["survival"] <= 1.0
+
+
+def test_offboard_setup_does_not_import_numpy():
+    # the planner's cold start is paid in flight, and numpy's import alone
+    # used to be most of it; the suite itself imports numpy, hence a subprocess
+    src = str(Path(skysearch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, skysearch\n"
+            "from skysearch.missions import build_setup\n"
+            "from skysearch.world import load_scenario\n"
+            "build_setup(load_scenario('l1'), 'offboard', '0:0')\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

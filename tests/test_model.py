@@ -317,7 +317,7 @@ class TestGenerativeStep:
                 for _ in range(2):  # the second step overlaps the first stamp
                     got = model.step(s, a, fast_rng, fast)
                     assert got == reference_step(s, a, cfg, cov, ref, ref_rng)
-                    assert np.array_equal(fast, ref)
+                    assert fast == ref
                     reached.add(self.branch(got[0]))
                     if got[3]:
                         break
@@ -342,7 +342,7 @@ class TestGenerativeStep:
                 fast_rng, ref_rng = Random(seed), Random(seed)
                 got = model.step(s, a, fast_rng, fast)
                 assert got == reference_step(s, a, cfg, cov, ref, ref_rng)
-                assert np.array_equal(fast, ref)
+                assert fast == ref
                 assert fast_rng.getstate() == ref_rng.getstate()
                 s2 = got[0]
                 if s2.f_dct:
