@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .configio import ConfigError
@@ -35,12 +34,10 @@ def _out_dir(args) -> Path:
 
 
 def _load(args) -> Scenario:
-    """The scenario file with ``--seed`` and ``--paper-literal-confidence`` applied."""
+    """The scenario file with ``--seed`` applied."""
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    if args.paper_literal_confidence:
-        scenario.cfg = replace(scenario.cfg, paper_literal_confidence=True)
     return scenario
 
 
@@ -190,8 +187,6 @@ def _add_common(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
                    help=f"output directory (default $" + OUT_ENV + " or ./out)")
     p.add_argument("--tolerance", type=_tolerance, default=2.0,
                    help="radius in metres for a coordinate to count as the true location")
-    p.add_argument("--paper-literal-confidence", action="store_true",
-                   help="use the distance-increasing confidence model variant")
 
 
 def _add_batch(p: argparse.ArgumentParser) -> None:

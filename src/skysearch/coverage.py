@@ -40,9 +40,22 @@ class Rect:
     def contains(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
-    def manhattan_diagonal(self) -> float:
-        """Manhattan distance between the min and max corners."""
-        return self.width + self.height
+
+MAX_RASTER_CELLS = 10**7  # bounds the coverage raster and the heatmap counts
+
+
+def grid_shape(width: float, height: float, cell: float, what: str) -> tuple[int, int]:
+    """Rows and columns of ``cell``-sized cells over ``width`` x ``height``, at
+    least one each; ``ValueError`` naming ``what`` when that is more than
+    ``MAX_RASTER_CELLS`` cells."""
+    try:
+        ny = max(1, int(math.ceil(height / cell)))
+        nx = max(1, int(math.ceil(width / cell)))
+    except OverflowError:  # an extent over a tiny cell that overflows to inf
+        ny = nx = math.inf
+    if not ny * nx <= MAX_RASTER_CELLS:
+        raise ValueError(f"{what} needs {ny * nx:.3g} cells, more than {MAX_RASTER_CELLS:.0e}")
+    return ny, nx
 
 
 class Snapshot(list):
@@ -80,8 +93,9 @@ class CoverageMap:
     @classmethod
     def raster_shape(cls, survey: Rect, cell_size: float) -> tuple[int, int]:
         """Rows and columns of the raster over ``survey`` plus ``MARGIN`` per side."""
-        return (int(math.ceil((survey.height + 2 * cls.MARGIN) / cell_size)),
-                int(math.ceil((survey.width + 2 * cls.MARGIN) / cell_size)))
+        return grid_shape(survey.width + 2 * cls.MARGIN, survey.height + 2 * cls.MARGIN,
+                          cell_size, f"survey with a {cls.MARGIN:g} m margin at obs_cell "
+                          f"{cell_size:g} m")
 
     # -- index helpers -------------------------------------------------
 
@@ -112,9 +126,6 @@ class CoverageMap:
         Out-of-map portions are clipped silently. ``cells`` lets the planner
         stamp a private snapshot instead of the live map.
         """
-        if self._axis_aligned(fp):
-            self.stamp_rect(*fp.bbox(), cells)
-            return
         target = self.cells if cells is None else cells
         for r, mask in self._quad_rows(fp):
             target[r] |= mask
@@ -135,8 +146,6 @@ class CoverageMap:
         """Fraction of the footprint's cells already seen (0 virgin, 1 fully
         revisited). A footprint covering zero cells counts as fully seen so
         degenerate views are never rewarded."""
-        if self._axis_aligned(fp):
-            return self.rect_overlap(*fp.bbox(), cells)
         source = self.cells if cells is None else cells
         n = seen = 0
         for r, mask in self._quad_rows(fp):
@@ -180,9 +189,3 @@ class CoverageMap:
             yield r, sum(1 << c for c in range(c0, c1 + 1) if all(
                 ex * (y - ay) - ey * (ox + (c + 0.5) * size - ax) >= -1e-12
                 for ax, ay, ex, ey in edges))
-
-    @staticmethod
-    def _axis_aligned(fp: Footprint) -> bool:
-        xs = {round(c[0], 9) for c in fp.corners}
-        ys = {round(c[1], 9) for c in fp.corners}
-        return len(xs) == 2 and len(ys) == 2

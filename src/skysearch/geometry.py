@@ -65,16 +65,6 @@ class CameraIntrinsics:
                     math.tan(self.roll - ha_w), math.tan(self.roll + ha_w))
         object.__setattr__(self, "extent_1m", unit)
 
-    @property
-    def half_angle_h(self) -> float:
-        """Half view angle across the lens height (radians)."""
-        return math.atan(self.lens_height_mm / (2.0 * self.focal_mm))
-
-    @property
-    def half_angle_w(self) -> float:
-        """Half view angle across the lens width (radians)."""
-        return math.atan(self.lens_width_mm / (2.0 * self.focal_mm))
-
 
 @dataclass(frozen=True)
 class Footprint:

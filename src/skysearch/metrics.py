@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coverage import Rect
+from .coverage import Rect, grid_shape
 from .missions import RunRecord
-from .model import MAX_RASTER_CELLS
 
 
 @dataclass
@@ -97,18 +96,12 @@ def write_metrics_csv(path, rows: list[Metrics]) -> None:
 
 def heatmap_shape(bounds: Rect, cell: float) -> tuple[int, int]:
     """Rows and columns of the heatmap over ``bounds``; ``ValueError`` unless
-    ``cell`` is finite and positive and gives at most ``MAX_RASTER_CELLS``."""
+    ``cell`` is finite and positive and gives at most
+    ``coverage.MAX_RASTER_CELLS``."""
     if not 0 < cell < math.inf:
         raise ValueError(f"heatmap cell size must be finite and positive, got {cell}")
-    try:
-        nx = max(1, int(math.ceil(bounds.width / cell)))
-        ny = max(1, int(math.ceil(bounds.height / cell)))
-    except OverflowError:  # an extent over a tiny cell that overflows to inf
-        ny = nx = math.inf
-    if not ny * nx <= MAX_RASTER_CELLS:
-        raise ValueError(f"a heatmap cell of {cell:g} m over {bounds.width:g} x {bounds.height:g}"
-                         f" m needs {ny * nx:.3g} cells, more than {MAX_RASTER_CELLS:.0e}")
-    return ny, nx
+    return grid_shape(bounds.width, bounds.height, cell, f"a heatmap cell of {cell:g} m "
+                      f"over {bounds.width:g} x {bounds.height:g} m")
 
 
 def export_heatmap(records: list[RunRecord], bounds: Rect, cell: float = 1.0

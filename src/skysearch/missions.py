@@ -13,7 +13,7 @@ without shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from random import Random
 
 from .coverage import CoverageMap, Rect
@@ -49,22 +49,23 @@ class RunRecord:
     solver_trace: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"mode": self.mode, "seed": self.seed, "outcome": self.outcome,
-                "elapsed_s": self.elapsed_s, "trajectory": self.trajectory,
-                "detections": self.detections, "recorded": self.recorded,
-                "confirmations": self.confirmations, "mode_events": self.mode_events,
-                "coverage": self.coverage}
+        """Every field but ``solver_trace``, which has its own file."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "solver_trace"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        rec = cls(mode=d["mode"], seed=d["seed"], outcome=d["outcome"],
-                  elapsed_s=d["elapsed_s"], coverage=d.get("coverage", 0.0))
-        rec.trajectory = [tuple(row) for row in d["trajectory"]]
-        rec.detections = [tuple(row) for row in d["detections"]]
-        rec.recorded = [tuple(row) for row in d["recorded"]]
-        rec.confirmations = [tuple(row) for row in d["confirmations"]]
-        rec.mode_events = [tuple(row) for row in d.get("mode_events", [])]
-        return rec
+        """Inverse of ``to_dict``, with list rows back as tuples. A missing
+        ``coverage`` or ``mode_events`` takes its default; any other missing
+        field raises ``KeyError``."""
+        values = {}
+        for f in fields(cls):
+            if f.name == "solver_trace" or (f.name in ("coverage", "mode_events")
+                                            and f.name not in d):
+                continue
+            value = d[f.name]
+            values[f.name] = [tuple(row) for row in value] if isinstance(value, list) else value
+        return cls(**values)
 
 
 def lawnmower_waypoints(survey: Rect, cam: CameraIntrinsics, overlap: float = 0.30,
@@ -405,8 +406,13 @@ class _Flight:
                 "q": [round(q, 3) if q == q else None for q in planned_q],
                 "particles": n_particles, "episodes": episodes,
                 "survival": round(belief_now.survival_rate, 4)})
-            if (discard_mass is not None
-                    and belief_now.evidence_present_frac < discard_mass):
-                return "discarded"
+            if discard_mass is not None:
+                # the victim-present mass after the refill: reinvigorated
+                # particles are observation-consistent, so a missed detection
+                # drains it and a positive one restores it
+                particles = belief_now.particles
+                present = sum(p.victim_present for p in particles)
+                if present / len(particles) < discard_mass:
+                    return "discarded"
             if self.cov.coverage_ratio() >= cfg.coverage_done:
                 return "survey_done"

@@ -112,9 +112,6 @@ class RewardParams:
     fov: float = -5.0
 
 
-MAX_RASTER_CELLS = 10**7  # bounds the coverage raster a scenario may ask for
-
-
 @dataclass
 class ModelConfig:
     """Mission and model constants.
@@ -169,20 +166,14 @@ class ModelConfig:
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"noise scale {name} must not be negative, "
                                  f"got {getattr(self, name)}")
-        # the coverage raster spans the survey plus the map margin on each side
-        try:
-            ny, nx = CoverageMap.raster_shape(self.survey, self.obs_cell)
-        except OverflowError:  # a survey extent that overflows to inf
-            ny = nx = math.inf
-        if not ny * nx <= MAX_RASTER_CELLS:
-            raise ValueError(f"survey with a {CoverageMap.MARGIN:g} m margin at obs_cell "
-                             f"{self.obs_cell:g} m needs {ny * nx:.3g} coverage cells, "
-                             f"more than {MAX_RASTER_CELLS:.0e}")
+        # the coverage raster spans the survey plus the map margin on each
+        # side; raster_shape raises past coverage.MAX_RASTER_CELLS cells
+        CoverageMap.raster_shape(self.survey, self.obs_cell)
 
     def d_w(self) -> float:
         """Manhattan diagonal of the survey area (maximum exploration
         distance)."""
-        return self.survey.manhattan_diagonal()
+        return self.survey.width + self.survey.height
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +442,9 @@ class GenerativeModel:
             det = None
         obstacle = False
         occ = self.occupancy
-        if occ is not None and not occ.clears_everything(z - cfg.climb_step):
+        # a step sweeps no lower than one climb step down, and nothing is
+        # occupied at or above the grid's top
+        if occ is not None and z - cfg.climb_step < occ.top_z:
             dx, dy, dz = action_displacement(a, z, self.cam, cfg)
             obstacle = occ.ahead(x, y, z, dx, dy, dz)
         return floor(ox / cell), floor(oy / cell), floor(oz / cell), det, obstacle

@@ -32,17 +32,12 @@ class ParticleBelief:
     uniform; resampling keeps the population at ``target_size``.
 
     ``survival_rate`` is the fraction of particles that matched the latest
-    real observation's bin. ``evidence_present_frac`` is the belief's
-    victim-present probability after the refill (reinvigorated particles
-    are observation-consistent, so a missed detection drains it and a
-    positive one restores it); it is what a mission loop reads when
-    deciding to discard a potential victim.
+    real observation's bin.
     """
 
     particles: list
     target_size: int
     survival_rate: float = 1.0
-    evidence_present_frac: float = 1.0
 
 
 class _Edge:
@@ -266,9 +261,7 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
         while len(particles) < target:
             particles.append(reinvigorate(observed, donors, rng))
 
-    present = sum(1 for p in particles if getattr(p, "victim_present", True))
-    belief = ParticleBelief(particles, target_size=target, survival_rate=rate,
-                            evidence_present_frac=present / len(particles))
+    belief = ParticleBelief(particles, target_size=target, survival_rate=rate)
     new_root = child if child is not None else BeliefNode(model.n_actions)
     new_root.belief = belief
     return new_root

@@ -60,11 +60,6 @@ class OccupancyGrid:
             return False
         return self._key(x, y, z) in self._cells
 
-    def clears_everything(self, lowest_z: float) -> bool:
-        """True when a volume entirely above ``lowest_z`` cannot intersect
-        any occupied cell; lets hot paths skip the swept-segment test."""
-        return lowest_z >= self.top_z
-
     def ahead(self, x: float, y: float, z: float,
               dx: float, dy: float, dz: float) -> bool:
         """Any occupied cell along the segment swept by the displacement.

@@ -48,6 +48,19 @@ class TestRun:
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "record.json").read_bytes() == (b / "record.json").read_bytes()
 
+    def test_paper_literal_confidence_scenario_key(self, tmp_path):
+        # the distance-increasing confidence model is picked in the scenario
+        # file; at seed 1 it flies the l1 offboard run differently
+        records = []
+        for i, extra in enumerate(["", "paper_literal_confidence = true\n"]):
+            scn = tmp_path / f"l1_{i}.scn"
+            scn.write_text((SCENARIOS / "l1.scn").read_text() + extra)
+            out = tmp_path / f"out_{i}"
+            assert cli.cli_main(["run", "--scenario", str(scn), "--mode", "offboard",
+                                 "--seed", "1", "--out", str(out)]) == 0
+            records.append((out / "record.json").read_bytes())
+        assert records[0] != records[1]
+
 
 class TestBatchAndCompare:
     def test_batch_metrics_csv(self, tmp_path, capsys):

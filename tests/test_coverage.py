@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from skysearch.coverage import CoverageMap, Rect
 from skysearch.geometry import CameraIntrinsics, EnuPoint, footprint_corners_world
+from skysearch.model import ModelConfig
 
 CAM = CameraIntrinsics()
 
@@ -27,7 +28,7 @@ def fp_at(x, y, z=16.0, yaw=0.0):
 class TestRect:
     def test_survey_manhattan_diagonal(self):
         # the reward's d_w: Manhattan distance across the 60 x 6 m survey
-        assert Rect(0.0, 0.0, 60.0, 6.0).manhattan_diagonal() == 66.0
+        assert ModelConfig(survey=Rect(0.0, 0.0, 60.0, 6.0)).d_w() == 66.0
 
 
 class TestRaster:

@@ -10,6 +10,7 @@ from skysearch.geometry import (CameraIntrinsics, EnuPoint, Footprint, HorizonEr
                                 footprint_corners_world, footprint_extent, point_in_footprint)
 
 CAM = CameraIntrinsics()  # survey camera: 2.06 x 1.52 mm lens, f = 4.7 mm
+HALF_ANGLE_H = math.atan(1.52 / (2 * 4.7))  # half view angle across the lens height
 
 
 def half_plane_contains(x, y, corners):
@@ -42,7 +43,7 @@ class TestFootprintExtent:
         assert max(abs(v) for v in (l_top, l_bottom, l_left, l_right)) < 1e-8
 
     def test_horizon_ray_rejected(self):
-        tilted = CameraIntrinsics(pitch=math.pi / 2 - CAM.half_angle_h + 1e-4)
+        tilted = CameraIntrinsics(pitch=math.pi / 2 - HALF_ANGLE_H + 1e-4)
         with pytest.raises(HorizonError):
             footprint_extent(16.0, tilted)
 
@@ -53,8 +54,8 @@ class TestFootprintExtent:
     def test_pitched_camera_asymmetric(self):
         tilted = CameraIntrinsics(pitch=0.2)
         l_top, l_bottom, _, _ = footprint_extent(10.0, tilted)
-        assert l_top == pytest.approx(10.0 * math.tan(0.2 + CAM.half_angle_h))
-        assert l_bottom == pytest.approx(10.0 * math.tan(0.2 - CAM.half_angle_h))
+        assert l_top == pytest.approx(10.0 * math.tan(0.2 + HALF_ANGLE_H))
+        assert l_bottom == pytest.approx(10.0 * math.tan(0.2 - HALF_ANGLE_H))
         assert l_top > -l_bottom
 
 

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import skysearch
 from skysearch.coverage import Rect
-from skysearch.geometry import CameraIntrinsics
-from skysearch.missions import (OUTCOMES, RunRecord, build_setup, execute_run,
+from skysearch.geometry import CameraIntrinsics, EnuPoint, footprint_extent
+from skysearch.missions import (DISCARD_PRESENT_MASS, INSPECT_PRIOR, INSPECT_STEP_CAP,
+                                OUTCOMES, RunRecord, _Flight, build_setup, execute_run,
                                 lawnmower_waypoints)
 from skysearch.solver import SolverConfig
 from skysearch.world import GroundTruth, OccupancyGrid, load_scenario
@@ -192,6 +193,31 @@ class TestHybridMode:
         b = execute_run(build_setup(sc, "hybrid", 13))
         assert a.to_dict() == b.to_dict()
 
+    @staticmethod
+    def inspect_distractor(seed, discard_mass):
+        """One inspection, as ``_inspect`` starts it, of a lone lookalike
+        under the UAV at survey altitude; returns its end event and record."""
+        sc = make_scenario(distractors=[(30.0, 3.0, 0.04)])
+        flight = _Flight(build_setup(sc, "hybrid", seed))
+        flight.start(EnuPoint(30.0, 3.0, 16.0), "MissionLeg")
+        l_top, l_bottom, l_left, l_right = footprint_extent(16.0, CAM)
+        region = Rect(30.0 + l_left, 3.0 + l_bottom, 30.0 + l_right, 3.0 + l_top)
+        event = flight.plan(region, INSPECT_PRIOR, detection=(30.0, 3.0, 0.1),
+                            max_steps=INSPECT_STEP_CAP, discard_mass=discard_mass)
+        return event, flight.rec
+
+    @pytest.mark.parametrize("seed", ["d:0", "d:1", "d:2"])
+    def test_inspection_of_a_lookalike_is_discarded(self, seed):
+        # misses drain the victim-present mass below the bar before the
+        # step cap; without a bar the same flight runs to the cap
+        event, rec = self.inspect_distractor(seed, DISCARD_PRESENT_MASS)
+        assert event == "discarded"
+        assert len(rec.solver_trace) < INSPECT_STEP_CAP
+        event_free, rec_free = self.inspect_distractor(seed, None)
+        assert event_free != "discarded"
+        # reading the mass draws nothing: both flights agree up to the discard
+        assert rec_free.solver_trace[:len(rec.solver_trace)] == rec.solver_trace
+
 
 class TestRunRecord:
     def test_round_trip(self):
@@ -199,6 +225,18 @@ class TestRunRecord:
         rec = execute_run(build_setup(sc, "mission", 21))
         again = RunRecord.from_dict(rec.to_dict())
         assert again.to_dict() == rec.to_dict()
+
+    def test_from_dict_rows_defaults_and_required_keys(self):
+        d = {"mode": "hybrid", "seed": "3", "outcome": "Timeout", "elapsed_s": 8.0,
+             "trajectory": [[0.0, 1.0, 2.0, 16.0]], "detections": [], "recorded": [[1.0, 2.0]],
+             "confirmations": []}
+        rec = RunRecord.from_dict(d)
+        assert rec.trajectory == [(0.0, 1.0, 2.0, 16.0)] and rec.recorded == [(1.0, 2.0)]
+        assert (rec.coverage, rec.mode_events, rec.solver_trace) == (0.0, [], [])
+        assert set(rec.to_dict()) == set(d) | {"coverage", "mode_events"}
+        for key in ("mode", "seed", "outcome", "elapsed_s"):
+            with pytest.raises(KeyError):
+                RunRecord.from_dict({k: v for k, v in d.items() if k != key})
 
     def test_elapsed_within_budget(self):
         sc = load_scenario("l1")

@@ -7,7 +7,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from skysearch import model
@@ -250,9 +250,12 @@ class TestObservation:
 
     @given(x=st.floats(2, 58), y=st.floats(0.5, 5.5), z=st.floats(5.5, 16.0),
            vx=st.floats(0, 60), vy=st.floats(0, 6),
-           a=st.sampled_from(list(ActionCmd)), seed=st.integers(0, 10_000))
+           a=st.sampled_from(list(ActionCmd)), seed=st.integers(0, 10_000),
+           edge=st.sampled_from([None, -1e-9, 1e-9]))
+    @example(x=28.5, y=5.5, z=16.0, vx=0.0, vy=0.0, a=ActionCmd.DOWN, seed=0, edge=-1e-9)
+    @example(x=28.5, y=5.5, z=16.0, vx=0.0, vy=0.0, a=ActionCmd.DOWN, seed=0, edge=1e-9)
     @settings(max_examples=120, deadline=None)
-    def test_inline_key_matches_reference_observation(self, x, y, z, vx, vy, a, seed):
+    def test_inline_key_matches_reference_observation(self, x, y, z, vx, vy, a, seed, edge):
         # the planner's inlined observation key must be the reference
         # generate_observation + obs_key pipeline, draw for draw, with the
         # obstacle-ahead test run against l1's obstacles; bins finer than
@@ -262,9 +265,15 @@ class TestObservation:
         s2 = transition(PomdpState(x, y, z, victim_x=vx, victim_y=vy,
                                    victim_present=True),
                         a, cfg, CAM, L1_GRID, Random(seed))
+        if edge is not None:
+            # one climb step above the grid top, give or take 1e-9 m: the
+            # highest pose whose Down step still sweeps an occupied cell
+            s2 = s2._replace(x=x, y=y, z=L1_GRID.top_z + cfg.climb_step + edge)
         key_fast = model._observe_key(s2, a, Random(seed + 1))
         obs = generate_observation(s2, a, CAM, cfg, L1_GRID, Random(seed + 1))
         assert key_fast == obs_key(obs, cfg)
+        if edge is not None and a == ActionCmd.DOWN and L1_GRID.occupied(x, y, 4.5):
+            assert key_fast[-1] == (edge < 0)  # over the 5 m tree
 
 
 def reference_step(s, a, cfg, cov, scratch, rng):

@@ -180,8 +180,7 @@ class TestOccupancy:
     def test_altitude_shortcut_consistent(self):
         grid = OccupancyGrid()
         grid.add_box(10.0, 2.0, 0.0, 1.0, 1.0, 5.0)
-        assert grid.clears_everything(5.0)
-        assert not grid.clears_everything(4.0)
+        assert grid.top_z == 5.0
         assert not grid.occupied(10.5, 2.5, 6.0)
         assert grid.occupied(10.5, 2.5, 4.0)
 
