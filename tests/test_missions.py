@@ -209,7 +209,7 @@ class TestHybridMode:
     @pytest.mark.parametrize("seed", ["d:0", "d:1", "d:2"])
     def test_inspection_of_a_lookalike_is_discarded(self, seed):
         # misses drain the victim-present mass below the bar before the
-        # step cap; without a bar the same flight runs to the cap
+        # step cap; without a bar the same flight never ends that way
         event, rec = self.inspect_distractor(seed, DISCARD_PRESENT_MASS)
         assert event == "discarded"
         assert len(rec.solver_trace) < INSPECT_STEP_CAP
