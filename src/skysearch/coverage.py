@@ -102,7 +102,7 @@ class CoverageMap:
     def _window(self, x0: float, y0: float, x1: float, y1: float) -> tuple[int, int, int, int]:
         """Rows ``r0..r1`` and columns ``c0..c1`` whose cell centres fall in
         [x0, x1] x [y0, y1], clipped to the map (empty when r0 > r1 or
-        c0 > c1). Called twice per planner step, so it avoids helper calls."""
+        c0 > c1). Called on every planner step, so it avoids helper calls."""
         ox, oy, cs = self.origin_x, self.origin_y, self.cell_size
         c0 = math.ceil((x0 - ox) / cs - 0.5)
         c1 = math.floor((x1 - ox) / cs - 0.5)
@@ -164,6 +164,20 @@ class CoverageMap:
         seen = 0
         for row in source[r0:r1 + 1]:
             seen += (row & mask).bit_count()
+        return seen / ((r1 - r0 + 1) * (c1 - c0 + 1))
+
+    def overlap_then_stamp(self, x0: float, y0: float, x1: float, y1: float,
+                           cells: list[int]) -> float:
+        """`rect_overlap`, then `stamp_rect`, of ``cells`` over one window in one pass."""
+        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
+        if c0 > c1 or r0 > r1:
+            return 1.0
+        mask = ((1 << (c1 - c0 + 1)) - 1) << c0
+        seen = 0
+        for r in range(r0, r1 + 1):
+            row = cells[r]
+            seen += (row & mask).bit_count()
+            cells[r] = row | mask
         return seen / ((r1 - r0 + 1) * (c1 - c0 + 1))
 
     def coverage_ratio(self) -> float:

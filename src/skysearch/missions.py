@@ -378,8 +378,10 @@ class _Flight:
                 episodes = int(episodes * scfg.engaged_boost)
                 scfg = replace(scfg, ucb_c=scfg.ucb_c / 3.0,
                                max_depth=min(scfg.max_depth, 4))
+            visits = root.n_visits
             action = plan_step(root, model, scfg, self.rng_solver,
                                allowed=allowed, episodes=episodes)
+            episodes = root.n_visits - visits  # the episodes run, fewer under step_seconds
             planned_q = root.q_values()
             n_particles = len(root.belief.particles)
             pose = self.pose

@@ -449,16 +449,24 @@ class GenerativeModel:
             obstacle = occ.ahead(x, y, z, dx, dy, dz)
         return floor(ox / cell), floor(oy / cell), floor(oz / cell), det, obstacle
 
-    def step(self, s: PomdpState, a: int, rng: Random, scratch):
+    def _skip_key(self, s2: PomdpState, rng: Random) -> None:
+        """Take the n 32-bit words ``_observe_key(s2, ...)`` draws; return no key."""
+        cfg = self.cfg
+        n = (2 if cfg.est_noise_xy > 0 else 0) + (cfg.est_noise_z > 0) + (2 if s2.f_dct else 0)
+        rng.getrandbits(32 * n)
+
+    def step(self, s: PomdpState, a: int, rng: Random, scratch, keyed: bool = True):
         """Sample (next state, observation key, reward, terminal).
 
+        A rollout (``keyed`` false) or terminal step keeps the key's draws but returns ``None``.
         Only ``reward``'s exploration branch reads the footprint overlap and
         the victim distance, so a detecting step skips them. Every live step
         stamps ``scratch``: the episode's later imagined steps read it."""
         cfg = self.cfg
         act = _ACTIONS[a]
         s2 = transition(s, act, cfg, self.cam, self.occupancy, rng)
-        key = self._observe_key(s2, act, rng)
+        terminal = self.is_terminal(s2)
+        key = self._skip_key(s2, rng) if terminal or not keyed else self._observe_key(s2, act, rng)
         x, y, z, f_crash, f_roi, f_dct, vx, vy, present, _ = s2
         d_w = self.d_w
         eps, d_v = 0.0, d_w
@@ -468,14 +476,14 @@ class GenerativeModel:
             h = 1e-6 if z < 1e-6 else z
             x0, x1 = x + h * left, x + h * right
             y0, y1 = y + h * bottom, y + h * top
-            cov_map = self.cov_map
-            if not f_dct:
-                eps = cov_map.rect_overlap(x0, y0, x1, y1, scratch)
+            if f_dct:
+                self.cov_map.stamp_rect(x0, y0, x1, y1, scratch)
+            else:
+                eps = self.cov_map.overlap_then_stamp(x0, y0, x1, y1, scratch)
                 if present:
                     d_v = abs(x - vx) + abs(y - vy)
-            cov_map.stamp_rect(x0, y0, x1, y1, scratch)
         r = reward(s2, act, eps, d_v, d_w, self.params, cfg)
-        return s2, key, r, self.is_terminal(s2)
+        return s2, key, r, terminal
 
     def resimulate(self, s: PomdpState, a: int, rng: Random):
         """Transition + observation only, for belief rejection filtering."""

@@ -8,7 +8,8 @@ The solver is generic over any model exposing::
     gamma: float
     max_abs_reward: float
     new_scratch() -> object passed through to step
-    step(state, action, rng, scratch) -> (state2, obs_key, reward, terminal)
+    step(state, action, rng, scratch, keyed) -> (state2, obs_key, reward, terminal)
+        (obs_key is None when keyed is false, as in rollouts, or terminal)
 
 Belief advancement additionally needs ``resimulate``, ``obs_key_of``,
 ``is_terminal`` and ``reinvigorate`` (see :mod:`skysearch.model`).
@@ -151,7 +152,7 @@ def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) 
     step, randrange = model.step, rng.randrange
     n_actions, gamma = model.n_actions, model.gamma
     for _ in range(depth, cfg.max_depth):
-        state, _, r, terminal = step(state, randrange(n_actions), rng, scratch)
+        state, _, r, terminal = step(state, randrange(n_actions), rng, scratch, False)
         total += disc * r
         if terminal:
             break

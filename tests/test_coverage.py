@@ -4,7 +4,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skysearch.coverage import CoverageMap, Rect
 from skysearch.geometry import CameraIntrinsics, EnuPoint, footprint_corners_world
@@ -210,12 +210,18 @@ class TestAgainstCellCentreOracle:
                               footprint_corners_world(EnuPoint(x, y, z), yaw, CAM)),
         metres, metres, st.integers(4 * 64, 16 * 64).map(lambda k: k / 64),
         st.one_of(st.just(0.0), st.floats(0.05, math.pi / 2 - 0.05)))
+    fused = boxes.map(lambda box: ("fused", box[1]))  # overlap_then_stamp
     # (kind, shape, stamp the scratch instead of the live map), or a new scratch
-    ops = st.one_of(st.tuples(st.one_of(boxes, footprints), st.booleans()).map(
+    ops = st.one_of(st.tuples(st.one_of(boxes, fused, footprints), st.booleans()).map(
         lambda t: (*t[0], t[1])), st.just(("snapshot", None, None)))
 
     @settings(max_examples=80, deadline=None)
     @given(cell=st.sampled_from([0.5, 2.0]), ops=st.lists(ops, min_size=1, max_size=10))
+    # fused calls off the map, between two cell centres, then over stamped cells
+    @example(cell=2.0, ops=[("fused", (-16.0, -16.0, -12.0, 26.0), False),
+                            ("fused", (1.25, 1.25, 1.75, 3.0), True),
+                            ("box", (0.0, 0.0, 4.0, 4.0), True),
+                            ("fused", (2.0, -1.0, 8.0, 3.0), True)])
     def test_operations_match_the_oracle(self, cell, ops):
         cov = CoverageMap(self.SURVEY, cell_size=cell)
         s = self.SURVEY
@@ -232,6 +238,10 @@ class TestAgainstCellCentreOracle:
                     under = self.rect_cells(cov, *shape)
                     assert cov.rect_overlap(*shape, cells) == self.fraction(seen, under, 1.0)
                     cov.stamp_rect(*shape, cells)
+                elif kind == "fused":
+                    under = self.rect_cells(cov, *shape)
+                    eps = cov.overlap_then_stamp(*shape, cov.cells if cells is None else cells)
+                    assert eps == self.fraction(seen, under, 1.0)
                 else:
                     under = (self.quad_cells(cov, shape) if kind == "yawed"
                              else self.rect_cells(cov, *shape.bbox()))

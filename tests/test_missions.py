@@ -126,6 +126,17 @@ class TestOffboardMode:
         if rec.outcome == "Confirmed":
             assert rec.confirmations[-1][3] >= 0.85
 
+    def test_wall_clock_trace_counts_the_episodes_run(self):
+        # under step_seconds the search stops at its first 64-episode check
+        # past the deadline, far short of the configured budget
+        sc = make_scenario()
+        sc.cfg = replace(sc.cfg, t_max=40.0)
+        sc.solver = replace(sc.solver, step_seconds=0.01, episodes_per_step=10**6)
+        rec = execute_run(build_setup(sc, "offboard", 2))
+        assert len(rec.solver_trace) >= 5
+        for row in rec.solver_trace:
+            assert 64 <= row["episodes"] < 10**6
+
     def test_bit_identical_reruns(self):
         sc = load_scenario("l1")
         a = execute_run(build_setup(sc, "offboard", 11))

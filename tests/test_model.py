@@ -1,6 +1,7 @@
 """POMDP model: reward transcription, confidence curves, transition,
 observation generation and belief construction."""
 
+import itertools
 import math
 from dataclasses import replace
 from random import Random
@@ -275,14 +276,35 @@ class TestObservation:
         if edge is not None and a == ActionCmd.DOWN and L1_GRID.occupied(x, y, 4.5):
             assert key_fast[-1] == (edge < 0)  # over the 5 m tree
 
+    @given(x=st.floats(-2, 62), y=st.floats(-2, 8), z=st.floats(0.5, 18.0),
+           f_dct=st.booleans(), c_v=st.floats(0.0, 1.0),
+           a=st.sampled_from(list(ActionCmd)), seed=st.integers(0, 2**32),
+           est_noise_xy=st.sampled_from([0.0, 0.1, 3.0]),
+           est_noise_z=st.sampled_from([0.0, 0.05, 2.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_skipping_the_key_takes_exactly_its_draws(self, x, y, z, f_dct, c_v, a, seed,
+                                                      est_noise_xy, est_noise_z):
+        cfg = replace(CFG, est_noise_xy=est_noise_xy, est_noise_z=est_noise_z)
+        model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID)
+        s2 = PomdpState(x, y, z, f_dct=f_dct, victim_x=x + 0.5, victim_y=y,
+                        victim_present=True, c_v=c_v if f_dct else 0.0)
+        keyed, skipped = Random(seed), Random(seed)
+        model._observe_key(s2, a, keyed)
+        model._skip_key(s2, skipped)
+        assert keyed.getstate() == skipped.getstate()
 
-def reference_step(s, a, cfg, cov, scratch, rng):
+
+def reference_step(s, a, cfg, cov, scratch, rng, keyed=True):
     """``GenerativeModel.step`` composed from the reference pieces:
-    transition, the full observation and its key, the footprint overlap and
-    stamp, then the reward."""
+    transition, the full observation and its key (always drawn, reported
+    only on a keyed step that does not end the episode), the footprint
+    overlap and stamp, then the reward."""
     act = ActionCmd(a)
     s2 = transition(s, act, cfg, CAM, L1_GRID, rng)
     key = obs_key(generate_observation(s2, act, CAM, cfg, L1_GRID, rng), cfg)
+    terminal = s2.c_v >= cfg.zeta or s2.f_crash or s2.f_roi
+    if not keyed or terminal:
+        key = None
     eps, d_v = 0.0, cfg.d_w()
     if not (s2.f_crash or s2.f_roi):
         fp = footprint_corners_world(EnuPoint(s2.x, s2.y, s2.z), 0.0, CAM)
@@ -291,7 +313,7 @@ def reference_step(s, a, cfg, cov, scratch, rng):
         if s2.victim_present:
             d_v = abs(s2.x - s2.victim_x) + abs(s2.y - s2.victim_y)
     r = reward(s2, act, eps, d_v, cfg.d_w(), RP, cfg)
-    return s2, key, r, s2.c_v >= cfg.zeta or s2.f_crash or s2.f_roi
+    return s2, key, r, terminal
 
 
 class TestGenerativeStep:
@@ -314,24 +336,27 @@ class TestGenerativeStep:
 
     @pytest.mark.parametrize("kind", STARTS)
     def test_step_matches_reference_composition(self, kind):
+        # a rollout's unkeyed step must leave everything, the RNG included,
+        # as the keyed step would, and report no key
         cfg = replace(CFG, obs_cell=2.0)
         cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
         model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID, cov_map=cov)
         reached = set()
-        for seed in range(12):
-            for a in range(model.n_actions):
-                fast_rng, ref_rng = Random(seed), Random(seed)
-                fast, ref = model.new_scratch(), model.new_scratch()
-                s = self.STARTS[kind]
-                for _ in range(2):  # the second step overlaps the first stamp
-                    got = model.step(s, a, fast_rng, fast)
-                    assert got == reference_step(s, a, cfg, cov, ref, ref_rng)
-                    assert fast == ref
-                    reached.add(self.branch(got[0]))
-                    if got[3]:
-                        break
-                    s = got[0]
-                assert fast_rng.getstate() == ref_rng.getstate()
+        for seed, a, keyed in itertools.product(range(12), range(model.n_actions),
+                                                (True, False)):
+            fast_rng, ref_rng = Random(seed), Random(seed)
+            fast, ref = model.new_scratch(), model.new_scratch()
+            s = self.STARTS[kind]
+            for _ in range(2):  # the second step overlaps the first stamp
+                got = model.step(s, a, fast_rng, fast, keyed)
+                assert got == reference_step(s, a, cfg, cov, ref, ref_rng, keyed)
+                assert fast == ref
+                assert (got[1] is None) == (not keyed or got[3])
+                reached.add(self.branch(got[0]))
+                if got[3]:
+                    break
+                s = got[0]
+            assert fast_rng.getstate() == ref_rng.getstate()
         assert kind in reached
 
     def test_detection_on_a_stamped_scratch_matches_reference(self):
@@ -342,23 +367,23 @@ class TestGenerativeStep:
         model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID, cov_map=cov)
         s = self.STARTS["detect"]
         seen_before = 0
-        for seed in range(12):
-            for a in range(model.n_actions):
-                fast, ref = model.new_scratch(), model.new_scratch()
-                for scratch in (fast, ref):  # the left half of the start view
-                    cov.stamp_rect(s.x - 2.0, s.y - 2.0, s.x, s.y + 2.0, scratch)
-                before = fast.copy()
-                fast_rng, ref_rng = Random(seed), Random(seed)
-                got = model.step(s, a, fast_rng, fast)
-                assert got == reference_step(s, a, cfg, cov, ref, ref_rng)
-                assert fast == ref
-                assert fast_rng.getstate() == ref_rng.getstate()
-                s2 = got[0]
-                if s2.f_dct:
-                    l_top, l_bottom, l_left, l_right = footprint_extent(s2.z, CAM)
-                    seen_before += cov.rect_overlap(s2.x + l_left, s2.y + l_bottom,
-                                                    s2.x + l_right, s2.y + l_top,
-                                                    before) > 0.0
+        for seed, a, keyed in itertools.product(range(12), range(model.n_actions),
+                                                (True, False)):
+            fast, ref = model.new_scratch(), model.new_scratch()
+            for scratch in (fast, ref):  # the left half of the start view
+                cov.stamp_rect(s.x - 2.0, s.y - 2.0, s.x, s.y + 2.0, scratch)
+            before = fast.copy()
+            fast_rng, ref_rng = Random(seed), Random(seed)
+            got = model.step(s, a, fast_rng, fast, keyed)
+            assert got == reference_step(s, a, cfg, cov, ref, ref_rng, keyed)
+            assert fast == ref
+            assert fast_rng.getstate() == ref_rng.getstate()
+            s2 = got[0]
+            if s2.f_dct:
+                l_top, l_bottom, l_left, l_right = footprint_extent(s2.z, CAM)
+                seen_before += cov.rect_overlap(s2.x + l_left, s2.y + l_bottom,
+                                                s2.x + l_right, s2.y + l_top,
+                                                before) > 0.0
         assert seen_before > 0
 
 

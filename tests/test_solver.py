@@ -6,14 +6,17 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skysearch import solver
 from skysearch.coverage import CoverageMap, Rect
 from skysearch.geometry import CameraIntrinsics, EnuPoint
-from skysearch.model import (GenerativeModel, ModelConfig, Observation, PomdpState,
-                             RewardParams, initial_belief)
+from skysearch.model import (ActionCmd, GenerativeModel, ModelConfig, Observation,
+                             PomdpState, RewardParams, generate_observation,
+                             initial_belief, transition)
 from skysearch.solver import (BeliefCollapseError, BeliefNode, ParticleBelief,
                               SolverConfig, advance_belief, bootstrap, plan_step)
+from test_missions import short_flight
 
 
 class ChainModel:
@@ -33,7 +36,7 @@ class ChainModel:
     def new_scratch(self):
         return None
 
-    def step(self, s, a, rng, scratch):
+    def step(self, s, a, rng, scratch, keyed=True):
         if a == self.LEFT:
             s2 = max(0, s - 1)
         elif a == self.RIGHT:
@@ -84,7 +87,7 @@ class BanditModel:
     def new_scratch(self):
         return None
 
-    def step(self, s, a, rng, scratch):
+    def step(self, s, a, rng, scratch, keyed=True):
         return s, 0, self.MEANS[a] + rng.gauss(0.0, 0.5), True
 
 
@@ -103,7 +106,7 @@ class RecordingModel:
     def new_scratch(self):
         return None
 
-    def step(self, s, a, rng, scratch):
+    def step(self, s, a, rng, scratch, keyed=True):
         self.calls.append((s, a))
         s2 = s + (a,)
         return s2, s2, rng.random() * (a + 1) / self.n_actions, False
@@ -154,7 +157,7 @@ class TestPlanStep:
         class Flat(BanditModel):
             MEANS = (1.0, 1.0, 1.0)
 
-            def step(self, s, a, rng, scratch):
+            def step(self, s, a, rng, scratch, keyed=True):
                 return s, 0, 1.0, True
 
         flat = Flat()
@@ -332,3 +335,83 @@ class TestConfigValidation:
         t0 = time.monotonic()
         plan_step(BeliefNode(3, chain_belief()), model, cfg, Random(0))
         assert time.monotonic() - t0 < 1.0
+
+
+def tree_nodes(root):
+    """Every node of the search tree under ``root``, the root included."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        for edge in node.edges:
+            if edge is not None:
+                stack.extend(edge.children.values())
+
+
+def assert_tree_invariants(root, model, cfg):
+    """At every node the edges' visits sum to the node's visits, and every
+    edge's mean return lies within the solver's return bound."""
+    bound = solver._return_bound(model, cfg) + 1e-9
+    for node in tree_nodes(root):
+        edges = [e for e in node.edges if e is not None]
+        assert sum(e.n for e in edges) == node.n_visits
+        assert all(abs(e.q) <= bound for e in edges)
+
+
+def allowed_masks(n_actions):
+    """``None`` (every action) or a non-empty subset of the actions."""
+    return st.one_of(st.none(), st.lists(st.integers(0, n_actions - 1), min_size=1,
+                                         max_size=n_actions, unique=True))
+
+
+class TestTreeInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["chain", "bandit", "recording"]),
+           rounds=st.lists(st.tuples(st.integers(1, 40), allowed_masks(3)),
+                           min_size=1, max_size=4),
+           max_depth=st.integers(1, 6), ucb_c=st.floats(0.0, 30.0),
+           seed=st.integers(0, 2**32))
+    def test_toy_models(self, kind, rounds, max_depth, ucb_c, seed):
+        # three actions each, so that every drawn mask fits every model
+        if kind == "recording":
+            model, belief = RecordingModel(3), ParticleBelief([()], target_size=1)
+        else:
+            model = ChainModel() if kind == "chain" else BanditModel()
+            belief = chain_belief(5)
+        cfg = SolverConfig(max_depth=max_depth, ucb_c=ucb_c)
+        root, rng = BeliefNode(model.n_actions, belief), Random(seed)
+        for episodes, allowed in rounds:
+            before = root.n_visits
+            plan_step(root, model, cfg, rng, allowed=allowed, episodes=episodes)
+            assert root.n_visits == before + episodes
+            assert_tree_invariants(root, model, cfg)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sc=short_flight(), seed=st.integers(0, 2**32),
+           masks=st.lists(allowed_masks(len(ActionCmd)), min_size=1, max_size=3))
+    def test_generative_model_on_drawn_worlds(self, sc, seed, masks):
+        # a bootstrapped tree, searched again after each real step under
+        # each drawn root mask, so reused subtrees are checked too
+        cfg, scfg = sc.cfg, sc.solver
+        cam, occupancy = CameraIntrinsics(), sc.truth.obstacles
+        model = GenerativeModel(cfg, RewardParams(), cam, occupancy=occupancy,
+                                cov_map=CoverageMap(cfg.survey, cell_size=cfg.obs_cell))
+        rng = Random(seed)
+        start = EnuPoint(cfg.survey.x_min + 1.0, cfg.survey.y_min + 1.0, cfg.z_max)
+        root = bootstrap(model, initial_belief(cfg, scfg.n_particles, rng, start=start),
+                         scfg, rng)
+        assert root.n_visits == scfg.bootstrap_episodes
+        assert_tree_invariants(root, model, scfg)
+        pose = PomdpState(start.x, start.y, start.z, victim_present=False)
+        for allowed in masks:
+            before = root.n_visits
+            action = plan_step(root, model, scfg, rng, allowed=allowed)
+            assert root.n_visits == before + scfg.episodes_per_step
+            assert_tree_invariants(root, model, scfg)
+            pose = transition(pose, ActionCmd(action), cfg, cam, occupancy, rng,
+                              geofence=True)
+            if pose.f_crash:
+                break
+            obs = generate_observation(pose, ActionCmd(action), cam, cfg, occupancy, rng)
+            root = advance_belief(root, action, obs, model, scfg, rng)
+            assert_tree_invariants(root, model, scfg)
