@@ -387,10 +387,10 @@ class _Flight:
             pose = self.pose
             state = PomdpState(pose.x, pose.y, pose.z, victim_present=False)
             state = transition(state, ActionCmd(action), cfg, setup.cam,
-                               self.truth.obstacles, self.rng_world, geofence=True)
+                               None, self.rng_world, geofence=True)  # crash checked below
             self.move(EnuPoint(state.x, state.y, state.z))
             steps += 1
-            if state.f_crash:
+            if self.truth.obstacles.occupied(state.x, state.y, state.z):
                 return "crash"
             if not _inside(self.pose, cfg.survey, self.inflate):
                 return "out"

@@ -137,6 +137,15 @@ class TestOffboardMode:
         for row in rec.solver_trace:
             assert 64 <= row["episodes"] < 10**6
 
+    @pytest.mark.parametrize("mode", ["mission", "offboard", "hybrid"])
+    def test_first_tick_into_an_obstacle_crashes(self, mode):
+        # one box fills the whole flying band, so the first real tick ends in it
+        sc = make_scenario()
+        sc.truth.obstacles.add_box(-10.0, -10.0, 0.0, 80.0, 26.0, 20.0)
+        rec = execute_run(build_setup(sc, mode, 0))
+        assert rec.outcome == "Crash"
+        assert len(rec.trajectory) == 2
+
     def test_bit_identical_reruns(self):
         sc = load_scenario("l1")
         a = execute_run(build_setup(sc, "offboard", 11))
