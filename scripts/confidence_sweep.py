@@ -6,17 +6,20 @@ inspection's confidence climbs as the aircraft closes in."""
 import argparse
 from random import Random
 
+from skysearch.cli import _at_least_one, _checked
 from skysearch.geometry import CameraIntrinsics, EnuPoint
 from skysearch.model import ModelConfig, confidence_paper_literal, confidence_proximity
 from skysearch.world import DetectorProfile, GroundTruth, sense
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--points", type=int, default=12)
-    ap.add_argument("--calls", type=int, default=2000)
-    ap.add_argument("--occlusion", type=float, default=0.0)
-    args = ap.parse_args()
+    ap.add_argument("--points", type=_checked(int, lambda n: n >= 2, "at least 2"),
+                    default=12)
+    ap.add_argument("--calls", type=_at_least_one, default=2000)
+    ap.add_argument("--occlusion", type=_checked(float, lambda v: 0.0 <= v <= 1.0,
+                                                 "in [0, 1]"), default=0.0)
+    args = ap.parse_args(argv)
 
     cfg = ModelConfig()
     cam = CameraIntrinsics()

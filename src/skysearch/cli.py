@@ -1,7 +1,7 @@
 """Command-line surface: single runs with full traces, seeded batches with
 metrics, three-mode comparisons, heatmap export, and footprint debugging.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 belief collapse.
+Exit codes: 0 success, 2 configuration/usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .geometry import CameraIntrinsics, EnuPoint, footprint_corners_world, footp
 from .metrics import (compute_metrics, export_heatmap, heatmap_shape, metrics_table,
                       write_heatmap_csv, write_heatmap_pgm, write_metrics_csv)
 from .missions import RunRecord, build_setup, execute_run
-from .solver import BeliefCollapseError
 from .world import Scenario, builtin_scenarios, load_scenario
 
 OUT_ENV = "SKYSEARCH_OUT"
@@ -242,9 +241,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BeliefCollapseError as exc:
-        print(f"belief collapse: {exc}", file=sys.stderr)
-        return 3
 
 
 def main() -> None:

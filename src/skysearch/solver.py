@@ -12,7 +12,8 @@ The solver is generic over any model exposing::
         (obs_key is None when keyed is false, as in rollouts, or terminal)
 
 Belief advancement additionally needs ``resimulate``, ``obs_key_of``,
-``is_terminal`` and ``reinvigorate`` (see :mod:`skysearch.model`).
+``is_terminal`` and ``reinvigorate`` (see :mod:`skysearch.model`). Every
+refill draws fresh particles from ``reinvigorate``, so it is required.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from random import Random
 
 
 class BeliefCollapseError(RuntimeError):
-    """No particle is consistent with reality and none can be regenerated."""
+    """Raised by nothing: every model reinvigorates, so no belief runs empty.
+    Kept while the benchmark's tracer binds it for its ``solver.collapses``
+    count; the two are deleted together."""
 
 
 @dataclass
@@ -163,8 +166,6 @@ def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) 
 def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
             rng: Random, allowed=None) -> None:
     particles = root.belief.particles
-    if not particles:
-        raise BeliefCollapseError("cannot plan from an empty belief")
     bound = _return_bound(model, cfg) + 1e-9
     deadline = None
     if cfg.step_seconds is not None:
@@ -221,9 +222,9 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
     The subtree under the executed action and the observation's bin is
     reused when it exists. The belief is refilled by rejection: particles
     are resimulated through the step and kept when their simulated
-    observation lands in the same bin as reality. When too few survive, the
-    population is topped up with fresh states consistent with the
-    observation (see ``model.reinvigorate``).
+    observation lands in the same bin as reality. Resampled survivors fill
+    all but a fresh share of the target, or only their own number when too
+    few survive; ``model.reinvigorate`` fills the rest with fresh states.
     """
     key = model.obs_key_of(observed)
     edge = root.edges[taken]
@@ -239,28 +240,21 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
             survivors.append(s2)
     target = root.belief.target_size
     rate = len(survivors) / target
-    can_refresh = hasattr(model, "reinvigorate")
     # a sliver of every refill comes from fresh observation-consistent
     # samples so the population cannot inbreed on stale hypotheses
-    fresh_n = max(1, int(cfg.refresh_frac * target)) if can_refresh else 0
-
+    fresh_n = max(1, int(cfg.refresh_frac * target))
     if len(survivors) >= max(1, int(cfg.reinvig_frac * target)):
-        particles = list(survivors[:target - fresh_n])
-        n_survivors, randrange = len(survivors), rng.randrange
-        while len(particles) < target - fresh_n:
-            particles.append(survivors[randrange(n_survivors)])
-        for _ in range(fresh_n):
-            particles.append(model.reinvigorate(observed, survivors, rng))
+        keep = target - fresh_n
     else:
-        if not can_refresh:
-            raise BeliefCollapseError(
-                f"{len(survivors)}/{target} particles survived and the model "
-                "cannot reinvigorate")
-        particles = list(survivors)
-        donors = survivors if survivors else root.belief.particles
-        reinvigorate = model.reinvigorate
-        while len(particles) < target:
-            particles.append(reinvigorate(observed, donors, rng))
+        keep = len(survivors)
+    particles = survivors[:keep]
+    n_survivors, randrange = len(survivors), rng.randrange
+    while len(particles) < keep:
+        particles.append(survivors[randrange(n_survivors)])
+    donors = survivors or root.belief.particles
+    reinvigorate = model.reinvigorate
+    while len(particles) < target:
+        particles.append(reinvigorate(observed, donors, rng))
 
     belief = ParticleBelief(particles, target_size=target, survival_rate=rate)
     new_root = child if child is not None else BeliefNode(model.n_actions)

@@ -7,7 +7,6 @@ import pytest
 
 from skysearch import cli
 from skysearch.missions import RunRecord
-from skysearch.solver import BeliefCollapseError
 
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
@@ -167,14 +166,6 @@ class TestExitCodes:
         code = cli.cli_main(["run", "--scenario", "mars", "--out", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_belief_collapse_exit(self, tmp_path, monkeypatch):
-        def boom(setup):
-            raise BeliefCollapseError("no particles left")
-        monkeypatch.setattr(cli, "execute_run", boom)
-        code = cli.cli_main(["run", "--scenario", "l1", "--mode", "offboard",
-                             "--out", str(tmp_path)])
-        assert code == 3
 
     @staticmethod
     def run_with_override(tmp_path, mode, line):

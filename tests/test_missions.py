@@ -146,6 +146,21 @@ class TestOffboardMode:
         assert rec.outcome == "Crash"
         assert len(rec.trajectory) == 2
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_first_tick_out_of_bounds_ends_the_flight(self, seed):
+        # 50 m of motion noise carries the first real tick far past the
+        # survey grown by one step and the slack
+        sc = load_scenario("l1")
+        cfg = sc.cfg = replace(sc.cfg, move_noise_xy=50.0)
+        rec = execute_run(build_setup(sc, "offboard", seed))
+        assert rec.outcome == "OutOfBounds"
+        assert len(rec.trajectory) == 2
+        _, x, y, _ = rec.trajectory[-1]
+        grow, box = cfg.speed * cfg.dt + cfg.roi_slack, cfg.survey
+        assert not (box.x_min - grow <= x <= box.x_max + grow
+                    and box.y_min - grow <= y <= box.y_max + grow)
+        assert rec.mode_events[-1][1] == "Done(OutOfBounds)"
+
     def test_bit_identical_reruns(self):
         sc = load_scenario("l1")
         a = execute_run(build_setup(sc, "offboard", 11))
