@@ -2,9 +2,17 @@
 
 Backs the footprint-overlap penalty used by the planner's reward and the
 coverage statistics used by the mission harness. Cells are binary
-seen-flags, one Python int bitset per row (standard library only, for a cheap
-cold start); once set they never clear within a run. Tree search works on
-throwaway copies of the rows (`snapshot`), never on the live map.
+seen-flags, the whole raster one Python int (standard library only, for a
+cheap cold start); once set they never clear within a run. Tree search works
+on scratch views (`snapshot`), never on the live map: a stamp replaces the
+view's int, so taking a view copies nothing.
+
+Cost model: a read or stamp costs time in proportion to the raster's size,
+not the window's, since each `&` and `|` runs over the whole int. Every
+shipped and benchmarked raster has at most 8,320 cells. On a 200 x 50 m
+survey at 0.5 m (61,600 cells) a fused `overlap_then_stamp` took 1.6-2.8x
+as long as a loop over the window's rows (host-time timeit, 2-core VM,
+Python 3.11).
 """
 
 from __future__ import annotations
@@ -58,18 +66,26 @@ def grid_shape(width: float, height: float, cell: float, what: str) -> tuple[int
     return ny, nx
 
 
-class Snapshot(list):
-    """Copied raster rows; ``nbytes``, ny * ceil(nx / 8), is the size perfbench traces."""
-    __slots__ = ("nbytes",)
+@dataclass(slots=True)
+class Snapshot:
+    """A search-time scratch view of the raster: ``cells`` starts as the live
+    map's int and each stamp replaces it. ``nbytes``, ny * ceil(nx / 8), is the
+    raster size perfbench traces."""
+
+    cells: int = field(repr=False)
+    nbytes: int
 
 
 @dataclass
 class CoverageMap:
     """Seen-flag raster covering the survey area plus ``MARGIN`` per side.
 
-    Bit ``ix`` of ``cells[iy]`` is set when the centre of cell ``(iy, ix)``
-    has been inside some stamped footprint. The margin is at least one
-    footprint so that stamps near the survey edge are not clipped.
+    Bit ``iy * nx + ix`` of ``cells`` is set when the centre of cell
+    ``(iy, ix)`` has been inside some stamped footprint. The margin is at
+    least one footprint so that stamps near the survey edge are not clipped.
+    A rectangle read or stamp is one ``&`` or ``|`` of ``cells`` with a cached
+    block mask shifted into place, in time proportional to the raster's size,
+    not the rectangle's.
     """
 
     MARGIN = 10.0  # metres of raster beyond each survey edge
@@ -80,7 +96,8 @@ class CoverageMap:
     origin_y: float = field(init=False)
     nx: int = field(init=False)
     ny: int = field(init=False)
-    cells: list[int] = field(init=False, repr=False)
+    cells: int = field(init=False, repr=False)
+    _blocks: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cell_size <= 0:
@@ -88,7 +105,8 @@ class CoverageMap:
         self.origin_x = self.survey.x_min - self.MARGIN
         self.origin_y = self.survey.y_min - self.MARGIN
         self.ny, self.nx = self.raster_shape(self.survey, self.cell_size)
-        self.cells = [0] * self.ny
+        self.cells = 0
+        self._blocks = {}
 
     @classmethod
     def raster_shape(cls, survey: Rect, cell_size: float) -> tuple[int, int]:
@@ -112,73 +130,75 @@ class CoverageMap:
         return (r0 if r0 > 0 else 0, r1 if r1 < last_r else last_r,
                 c0 if c0 > 0 else 0, c1 if c1 < last_c else last_c)
 
+    def _rect_mask(self, x0: float, y0: float, x1: float, y1: float) -> tuple[int, int]:
+        """Bits of the cells whose centres fall in [x0, x1] x [y0, y1], and
+        how many cells that is (0 and 0 when none do)."""
+        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
+        if c0 > c1 or r0 > r1:
+            return 0, 0
+        rows, cols = r1 - r0 + 1, c1 - c0 + 1
+        block = self._blocks.get((rows, cols))
+        if block is None:  # ``cols`` ones in each of ``rows`` rows of ``nx`` bits
+            nx = self.nx
+            block = self._blocks[rows, cols] = (
+                ((1 << cols) - 1) * (((1 << rows * nx) - 1) // ((1 << nx) - 1)))
+        return block << (r0 * self.nx + c0), rows * cols
+
     def snapshot(self) -> Snapshot:
-        """Copy of the rows for use as a search-time scratch view."""
-        copy = Snapshot(self.cells)
-        copy.nbytes = self.ny * ((self.nx + 7) // 8)
-        return copy
+        """Scratch view of the raster as it is now; copies nothing."""
+        return Snapshot(self.cells, self.ny * ((self.nx + 7) // 8))
 
     # -- stamping ------------------------------------------------------
 
-    def stamp_footprint(self, fp: Footprint, cells: list[int] | None = None) -> None:
+    def stamp_footprint(self, fp: Footprint, scratch: Snapshot | None = None) -> None:
         """Set every cell whose centre lies inside the footprint.
 
-        Out-of-map portions are clipped silently. ``cells`` lets the planner
+        Out-of-map portions are clipped silently. ``scratch`` lets the planner
         stamp a private snapshot instead of the live map.
         """
-        target = self.cells if cells is None else cells
+        target = self if scratch is None else scratch
+        nx = self.nx
         for r, mask in self._quad_rows(fp):
-            target[r] |= mask
+            target.cells |= mask << (r * nx)
 
     def stamp_rect(self, x0: float, y0: float, x1: float, y1: float,
-                   cells: list[int] | None = None) -> None:
+                   scratch: Snapshot | None = None) -> None:
         """Fast path for axis-aligned footprints (the yaw = 0 flight case)."""
-        target = self.cells if cells is None else cells
-        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
-        if c0 <= c1 and r0 <= r1:
-            mask = ((1 << (c1 - c0 + 1)) - 1) << c0
-            for r in range(r0, r1 + 1):
-                target[r] |= mask
+        target = self if scratch is None else scratch
+        target.cells |= self._rect_mask(x0, y0, x1, y1)[0]
 
     # -- queries -------------------------------------------------------
 
-    def overlap_fraction(self, fp: Footprint, cells: list[int] | None = None) -> float:
+    def overlap_fraction(self, fp: Footprint, scratch: Snapshot | None = None) -> float:
         """Fraction of the footprint's cells already seen (0 virgin, 1 fully
         revisited). A footprint covering zero cells counts as fully seen so
         degenerate views are never rewarded."""
-        source = self.cells if cells is None else cells
+        cells = (self if scratch is None else scratch).cells
+        nx = self.nx
         n = seen = 0
         for r, mask in self._quad_rows(fp):
             n += mask.bit_count()
-            seen += (source[r] & mask).bit_count()
+            seen += (cells & (mask << (r * nx))).bit_count()
         return seen / n if n else 1.0
 
     def rect_overlap(self, x0: float, y0: float, x1: float, y1: float,
-                     cells: list[int] | None = None) -> float:
+                     scratch: Snapshot | None = None) -> float:
         """`overlap_fraction` fast path for axis-aligned rectangles."""
-        source = self.cells if cells is None else cells
-        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
-        if c0 > c1 or r0 > r1:
+        mask, n = self._rect_mask(x0, y0, x1, y1)
+        if not n:
             return 1.0
-        mask = ((1 << (c1 - c0 + 1)) - 1) << c0
-        seen = 0
-        for row in source[r0:r1 + 1]:
-            seen += (row & mask).bit_count()
-        return seen / ((r1 - r0 + 1) * (c1 - c0 + 1))
+        return ((self if scratch is None else scratch).cells & mask).bit_count() / n
 
     def overlap_then_stamp(self, x0: float, y0: float, x1: float, y1: float,
-                           cells: list[int]) -> float:
-        """`rect_overlap`, then `stamp_rect`, of ``cells`` over one window in one pass."""
-        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
-        if c0 > c1 or r0 > r1:
+                           scratch: Snapshot | None = None) -> float:
+        """`rect_overlap`, then `stamp_rect`, of ``scratch`` over one window in one pass."""
+        mask, n = self._rect_mask(x0, y0, x1, y1)
+        if not n:
             return 1.0
-        mask = ((1 << (c1 - c0 + 1)) - 1) << c0
-        seen = 0
-        for r in range(r0, r1 + 1):
-            row = cells[r]
-            seen += (row & mask).bit_count()
-            cells[r] = row | mask
-        return seen / ((r1 - r0 + 1) * (c1 - c0 + 1))
+        target = self if scratch is None else scratch
+        cells = target.cells
+        target.cells = cells | mask
+        return (cells & mask).bit_count() / n
 
     def coverage_ratio(self) -> float:
         """Fraction of survey-area cells seen so far."""

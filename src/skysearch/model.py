@@ -387,9 +387,13 @@ class GenerativeModel:
     futures never pollute the real map.
 
     Assumes zero yaw (no heading actions), which keeps every footprint an
-    axis-aligned rectangle. The observation key built here inline is
-    property-tested identical to ``obs_key(generate_observation(...))``;
-    the inlining keeps the per-step cost low enough for desk-scale batches.
+    axis-aligned rectangle. ``step`` moves the pose itself, with the motion
+    of ``transition`` inlined, and builds the observation key inline; both
+    are property-tested identical to ``transition`` and
+    ``obs_key(generate_observation(...))``, draw for draw. The inlining keeps
+    the per-step cost low enough for desk-scale batches. ``transition``
+    stays the reference, and the motion that ``resimulate`` and the real
+    tick use.
 
     ``prior_region`` and ``victim_prior`` describe where victim hypotheses
     live when the belief has to be reinvigorated: the survey rectangle for
@@ -418,6 +422,13 @@ class GenerativeModel:
         # detection branch tops out at detect + detect + confirm
         self.max_abs_reward = max(abs(params.crash), abs(params.out),
                                   2.0 * params.detect + params.confirm)
+        # the constants ``transition`` reads on every call, bound once for ``step``
+        self._extent = cam.extent_1m  # unpacking raises HorizonError for an unbounded view
+        self._keep, self._climb = 1.0 - cfg.overlap, cfg.climb_step
+        self._move_noise = cfg.move_noise_xy, cfg.move_noise_z
+        box, slack = cfg.survey, cfg.roi_slack
+        self._limits = (box.x_min - slack, box.x_max + slack, box.y_min - slack,
+                        box.y_max + slack, cfg.z_min - slack, cfg.z_max + slack)
 
     def new_scratch(self):
         return self.cov_map.snapshot()
@@ -458,24 +469,56 @@ class GenerativeModel:
     def step(self, s: PomdpState, a: int, rng: Random, scratch, keyed: bool = True):
         """Sample (next state, observation key, reward, terminal).
 
-        A rollout (``keyed`` false) or terminal step keeps the key's draws but returns ``None``.
-        Only ``reward``'s exploration branch reads the footprint overlap and
-        the victim distance, so a detecting step skips them. Every live step
-        stamps ``scratch``: the episode's later imagined steps read it."""
+        The motion is ``transition``'s, inlined with its float operations and
+        draw order, so one footprint serves the detection test and the
+        coverage window. A rollout (``keyed`` false) or terminal step keeps
+        the key's draws but returns ``None``. Only ``reward``'s exploration
+        branch reads the footprint overlap and the victim distance, so a
+        detecting step skips them. Every live step stamps ``scratch``: the
+        episode's later imagined steps read it."""
         cfg = self.cfg
         act = _ACTIONS[a]
-        s2 = transition(s, act, cfg, self.cam, self.occupancy, rng)
-        terminal = self.is_terminal(s2)
-        key = self._skip_key(s2, rng) if terminal or not keyed else self._observe_key(s2, act, rng)
-        x, y, z, f_crash, f_roi, f_dct, vx, vy, present, _ = s2
-        d_w = self.d_w
-        eps, d_v = 0.0, d_w
-        if not (f_crash or f_roi):
+        x, y, z, _, _, _, vx, vy, present, _ = s
+        top, bottom, left, right = self._extent
+        if act >= _UP:  # UP, DOWN and HOVER
+            dx = dy = 0.0
+            dz = 0.0 if act == _HOVER else (self._climb if act == _UP else -self._climb)
+        elif z <= 0:
+            raise ValueError(f"altitude must be positive, got {z}")
+        elif act <= _BACKWARD:
+            dx = (z * right - z * left) * self._keep
+            dx, dy, dz = (dx if act == _FORWARD else -dx), 0.0, 0.0
+        else:
+            dy = (z * top - z * bottom) * self._keep
+            dx, dy, dz = 0.0, (dy if act == _LEFT else -dy), 0.0
+        x, y, z = x + dx, y + dy, z + dz
+        sigma_xy, sigma_z = self._move_noise
+        bits = rng.getrandbits
+        if sigma_xy > 0.0:
+            x += _NORMAL[bits(16)] * sigma_xy
+            y += _NORMAL[bits(16)] * sigma_xy
+        if sigma_z > 0.0:
+            z += _NORMAL[bits(16)] * sigma_z
+        x_lo, x_hi, y_lo, y_hi, z_lo, z_hi = self._limits
+        f_roi = x < x_lo or x > x_hi or y < y_lo or y > y_hi or z < z_lo or z > z_hi
+        occ = self.occupancy
+        f_crash = occ is not None and z < occ.top_z and occ.occupied(x, y, z)
+        f_dct, c_v = False, 0.0
+        live = not (f_crash or f_roi)
+        if live:
             # ``footprint_extent(max(z, 1e-6), cam)``, multiplied out inline
-            top, bottom, left, right = self.cam.extent_1m
             h = 1e-6 if z < 1e-6 else z
             x0, x1 = x + h * left, x + h * right
             y0, y1 = y + h * bottom, y + h * top
+            if present and x0 <= vx <= x1 and y0 <= vy <= y1:
+                f_dct = True
+                c_v = modeled_confidence(abs(x - vx) + abs(y - vy) + z, cfg)
+        s2 = _tuple_new(PomdpState, (x, y, z, f_crash, f_roi, f_dct, vx, vy, present, c_v))
+        terminal = self.is_terminal(s2)
+        key = self._skip_key(s2, rng) if terminal or not keyed else self._observe_key(s2, act, rng)
+        d_w = self.d_w
+        eps, d_v = 0.0, d_w
+        if live:
             if f_dct:
                 self.cov_map.stamp_rect(x0, y0, x1, y1, scratch)
             else:

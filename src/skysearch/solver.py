@@ -152,10 +152,11 @@ def _simulate(node: BeliefNode, state, depth: int, model, cfg: SolverConfig,
 def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) -> float:
     total = 0.0
     disc = 1.0
-    step, randrange = model.step, rng.randrange
-    n_actions, gamma = model.n_actions, model.gamma
+    # ``choice`` makes ``randrange(n_actions)``'s one ``_randbelow`` draw with fewer checks
+    step, choice, actions = model.step, rng.choice, range(model.n_actions)
+    gamma = model.gamma
     for _ in range(depth, cfg.max_depth):
-        state, _, r, terminal = step(state, randrange(n_actions), rng, scratch, False)
+        state, _, r, terminal = step(state, choice(actions), rng, scratch, False)
         total += disc * r
         if terminal:
             break
@@ -171,10 +172,9 @@ def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
     if cfg.step_seconds is not None:
         deadline = time.monotonic() + cfg.step_seconds
         episodes = 1 << 62
-    n = len(particles)
-    randrange, new_scratch = rng.randrange, model.new_scratch
+    choice, new_scratch = rng.choice, model.new_scratch
     for ep in range(episodes):
-        state = particles[randrange(n)]
+        state = choice(particles)
         total = _simulate(root, state, 0, model, cfg, new_scratch(), rng, allowed)
         if not abs(total) <= bound:
             raise AssertionError(f"episode return {total} exceeds bound {bound}")

@@ -18,7 +18,7 @@ def fresh_map():
 
 
 def seen_count(cells):
-    return sum(row.bit_count() for row in cells)
+    return cells.bit_count()
 
 
 def fp_at(x, y, z=16.0, yaw=0.0):
@@ -53,14 +53,14 @@ class TestStamp:
         cov = fresh_map()
         fp = fp_at(10.0, 2.0)
         cov.stamp_footprint(fp)
-        once = cov.cells.copy()
+        once = cov.cells
         cov.stamp_footprint(fp)
         assert cov.cells == once
 
     def test_fully_outside_is_noop(self):
         cov = fresh_map()
         cov.stamp_footprint(fp_at(500.0, 500.0))
-        assert not any(cov.cells)
+        assert cov.cells == 0
 
     def test_never_clears_cells(self):
         cov = fresh_map()
@@ -192,10 +192,8 @@ class TestAgainstCellCentreOracle:
 
     @staticmethod
     def as_set(cov, cells):
-        assert len(cells) == cov.ny
-        assert all(0 <= row < 1 << cov.nx for row in cells)  # no bit past the last column
-        return {(iy, ix) for iy, row in enumerate(cells) for ix in range(cov.nx)
-                if row >> ix & 1}
+        assert 0 <= cells < 1 << cov.ny * cov.nx  # no bit past the last cell
+        return {divmod(i, cov.nx) for i in range(cov.ny * cov.nx) if cells >> i & 1}
 
     @staticmethod
     def fraction(seen, under, empty):
@@ -240,7 +238,7 @@ class TestAgainstCellCentreOracle:
                     cov.stamp_rect(*shape, cells)
                 elif kind == "fused":
                     under = self.rect_cells(cov, *shape)
-                    eps = cov.overlap_then_stamp(*shape, cov.cells if cells is None else cells)
+                    eps = cov.overlap_then_stamp(*shape, cells)
                     assert eps == self.fraction(seen, under, 1.0)
                 else:
                     under = (self.quad_cells(cov, shape) if kind == "yawed"
@@ -251,5 +249,5 @@ class TestAgainstCellCentreOracle:
             after = self.as_set(cov, cov.cells)
             assert before <= after  # cells never clear
             assert after == live  # a scratch stamp never reaches the live map
-            assert self.as_set(cov, scratch) == mine
+            assert self.as_set(cov, scratch.cells) == mine
             assert cov.coverage_ratio() == self.fraction(live, survey, 0.0)

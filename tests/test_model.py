@@ -372,7 +372,7 @@ class TestGenerativeStep:
             fast, ref = model.new_scratch(), model.new_scratch()
             for scratch in (fast, ref):  # the left half of the start view
                 cov.stamp_rect(s.x - 2.0, s.y - 2.0, s.x, s.y + 2.0, scratch)
-            before = fast.copy()
+            before = replace(fast)
             fast_rng, ref_rng = Random(seed), Random(seed)
             got = model.step(s, a, fast_rng, fast, keyed)
             assert got == reference_step(s, a, cfg, cov, ref, ref_rng, keyed)
@@ -385,6 +385,72 @@ class TestGenerativeStep:
                                                 s2.x + l_right, s2.y + l_top,
                                                 before) > 0.0
         assert seen_before > 0
+
+    # poses over and around l1's 5 m tree and 1.5 m box, and along each
+    # survey edge, the floor and the ceiling: (x, y, z) ranges
+    REGIONS = [((26.0, 31.5), (3.5, 7.5), (3.0, 7.5)), ((42.0, 50.0), (0.0, 4.5), (0.5, 4.0)),
+               ((-1.0, 1.0), (-1.0, 7.0), (4.5, 17.0)), ((59.0, 61.0), (-1.0, 7.0), (4.5, 17.0)),
+               ((-1.0, 61.0), (-1.0, 1.0), (4.5, 17.0)), ((-1.0, 61.0), (5.0, 7.0), (4.5, 17.0)),
+               ((-1.0, 61.0), (-1.0, 7.0), (4.5, 5.75)), ((-1.0, 61.0), (-1.0, 7.0), (15.5, 17.0))]
+    poses = st.sampled_from(REGIONS).flatmap(
+        lambda r: st.tuples(*(st.floats(lo, hi) for lo, hi in r)))
+    # the victim hypothesis as an offset from the pose, or no victim
+    victims = st.one_of(st.none(), st.tuples(st.floats(-4.0, 4.0), st.floats(-3.0, 3.0)))
+    configs = st.builds(
+        lambda cell, mxy, mz, exy, ez, literal: replace(
+            CFG, obs_cell=cell, move_noise_xy=mxy, move_noise_z=mz, est_noise_xy=exy,
+            est_noise_z=ez, paper_literal_confidence=literal),
+        st.sampled_from([0.5, 2.0]), st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.2]),
+        st.sampled_from([0.0, 0.1]), st.sampled_from([0.0, 0.05]), st.booleans())
+
+    @staticmethod
+    def drawn_start(pose, victim):
+        x, y, z = pose
+        if victim is None:
+            return PomdpState(x, y, z, victim_present=False)
+        return PomdpState(x, y, z, victim_x=x + victim[0], victim_y=y + victim[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(pose=poses, victim=victims, a=st.integers(0, 6), keyed=st.booleans(), cfg=configs,
+           stamp=st.one_of(st.none(), st.tuples(*[st.floats(-6.0, 6.0)] * 2,
+                                                 *[st.floats(0.0, 8.0)] * 2)),
+           seed=st.integers(0, 2**32))
+    # flown into the tree without noise; a victim in view at the floor
+    @example(pose=(28.0, 5.6, 4.6), victim=(5.0, 0.0), a=0, keyed=True, stamp=None, seed=0,
+             cfg=replace(CFG, move_noise_xy=0.0, move_noise_z=0.0))
+    @example(pose=(30.0, 3.0, 7.25), victim=(0.5, 0.2), a=5, keyed=True,
+             stamp=(-2.0, -2.0, 2.0, 4.0), seed=0, cfg=replace(CFG, obs_cell=0.5))
+    def test_step_matches_reference_on_drawn_poses(self, pose, victim, a, keyed, cfg, stamp,
+                                                   seed):
+        cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
+        model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID, cov_map=cov)
+        s = self.drawn_start(pose, victim)
+        fast, ref = model.new_scratch(), model.new_scratch()
+        if stamp is not None:  # part of the ground round the pose already seen
+            x0, y0 = s.x + stamp[0], s.y + stamp[1]
+            for scratch in (fast, ref):
+                cov.stamp_rect(x0, y0, x0 + stamp[2], y0 + stamp[3], scratch)
+        fast_rng, ref_rng = Random(seed), Random(seed)
+        got = model.step(s, a, fast_rng, fast, keyed)
+        assert got == reference_step(s, a, cfg, cov, ref, ref_rng, keyed)
+        assert fast == ref
+        assert fast_rng.getstate() == ref_rng.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(pose=poses, victim=victims, a=st.integers(0, 6), cfg=configs,
+           seed=st.integers(0, 2**32))
+    def test_belief_update_moves_as_the_search_does(self, pose, victim, a, cfg, seed):
+        # resimulate (the belief update) and a keyed step (the search) share
+        # one motion and observation model, draw for draw
+        model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID)
+        s = self.drawn_start(pose, victim)
+        belief_rng, search_rng = Random(seed), Random(seed)
+        s2, key = model.resimulate(s, a, belief_rng)
+        t2, t_key, _, terminal = model.step(s, a, search_rng, model.new_scratch(), True)
+        assert s2 == t2
+        if not terminal:
+            assert key == t_key
+        assert belief_rng.getstate() == search_rng.getstate()
 
 
 class TestTerminal:
