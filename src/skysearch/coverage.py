@@ -117,32 +117,25 @@ class CoverageMap:
 
     # -- index helpers -------------------------------------------------
 
-    def _window(self, x0: float, y0: float, x1: float, y1: float) -> tuple[int, int, int, int]:
-        """Rows ``r0..r1`` and columns ``c0..c1`` whose cell centres fall in
-        [x0, x1] x [y0, y1], clipped to the map (empty when r0 > r1 or
-        c0 > c1). Called on every planner step, so it avoids helper calls."""
-        ox, oy, cs = self.origin_x, self.origin_y, self.cell_size
+    def _rect_mask(self, x0: float, y0: float, x1: float, y1: float) -> tuple[int, int]:
+        """Bits of the cells whose centres fall in [x0, x1] x [y0, y1], clipped
+        to the map, and how many cells that is (0 and 0 when none do). Called
+        on every planner step, so it avoids helper calls."""
+        ox, oy, cs, nx = self.origin_x, self.origin_y, self.cell_size, self.nx
         c0 = math.ceil((x0 - ox) / cs - 0.5)
         c1 = math.floor((x1 - ox) / cs - 0.5)
         r0 = math.ceil((y0 - oy) / cs - 0.5)
         r1 = math.floor((y1 - oy) / cs - 0.5)
-        last_c, last_r = self.nx - 1, self.ny - 1
-        return (r0 if r0 > 0 else 0, r1 if r1 < last_r else last_r,
-                c0 if c0 > 0 else 0, c1 if c1 < last_c else last_c)
-
-    def _rect_mask(self, x0: float, y0: float, x1: float, y1: float) -> tuple[int, int]:
-        """Bits of the cells whose centres fall in [x0, x1] x [y0, y1], and
-        how many cells that is (0 and 0 when none do)."""
-        r0, r1, c0, c1 = self._window(x0, y0, x1, y1)
+        c0, r0 = (c0 if c0 > 0 else 0), (r0 if r0 > 0 else 0)
+        c1, r1 = (c1 if c1 < nx else nx - 1), (r1 if r1 < self.ny else self.ny - 1)
         if c0 > c1 or r0 > r1:
             return 0, 0
         rows, cols = r1 - r0 + 1, c1 - c0 + 1
         block = self._blocks.get((rows, cols))
         if block is None:  # ``cols`` ones in each of ``rows`` rows of ``nx`` bits
-            nx = self.nx
             block = self._blocks[rows, cols] = (
                 ((1 << cols) - 1) * (((1 << rows * nx) - 1) // ((1 << nx) - 1)))
-        return block << (r0 * self.nx + c0), rows * cols
+        return block << (r0 * nx + c0), rows * cols
 
     def snapshot(self) -> Snapshot:
         """Scratch view of the raster as it is now; copies nothing."""
@@ -203,8 +196,7 @@ class CoverageMap:
     def coverage_ratio(self) -> float:
         """Fraction of survey-area cells seen so far."""
         s = self.survey
-        r0, r1, c0, c1 = self._window(s.x_min, s.y_min, s.x_max, s.y_max)
-        if c0 > c1 or r0 > r1:
+        if not self._rect_mask(s.x_min, s.y_min, s.x_max, s.y_max)[1]:
             return 0.0
         return self.rect_overlap(s.x_min, s.y_min, s.x_max, s.y_max)
 
@@ -214,7 +206,12 @@ class CoverageMap:
         """``(row, column mask)`` for each row under the footprint's bounding
         box: the cells whose centres pass every edge's half-plane test (1e-12
         tolerance) of the convex, counterclockwise footprint."""
-        r0, r1, c0, c1 = self._window(*fp.bbox())
+        box, n = self._rect_mask(*fp.bbox())
+        if not n:
+            return
+        # the box's corner cells are its lowest and highest bits
+        r0, c0 = divmod((box & -box).bit_length() - 1, self.nx)
+        r1, c1 = divmod(box.bit_length() - 1, self.nx)
         ox, oy, size = self.origin_x, self.origin_y, self.cell_size
         cs = fp.corners
         edges = [(ax, ay, bx - ax, by - ay) for (ax, ay), (bx, by) in zip(cs, cs[1:] + cs[:1])]

@@ -429,6 +429,11 @@ class GenerativeModel:
         box, slack = cfg.survey, cfg.roi_slack
         self._limits = (box.x_min - slack, box.x_max + slack, box.y_min - slack,
                         box.y_max + slack, cfg.z_min - slack, cfg.z_max + slack)
+        # and the ones ``_observe_key`` reads; its pose estimate takes one
+        # 32-bit word per noisy axis, the detection two more
+        self._cell, self._conf_bin = cfg.obs_cell, cfg.conf_bin
+        self._est_noise = cfg.est_noise_xy, cfg.est_noise_z
+        self._pose_bits = 32 * ((2 if cfg.est_noise_xy > 0 else 0) + (cfg.est_noise_z > 0))
 
     def new_scratch(self):
         return self.cov_map.snapshot()
@@ -436,9 +441,8 @@ class GenerativeModel:
     def _observe_key(self, s2: PomdpState, a: ActionCmd, rng: Random) -> tuple:
         """Observation bin of ``generate_observation`` without building the
         Observation object (identical fields, identical draw order)."""
-        cfg = self.cfg
-        cell = cfg.obs_cell
-        sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
+        cell = self._cell
+        sigma_xy, sigma_z = self._est_noise
         bits = rng.getrandbits
         floor = math.floor  # floor and round of a float already give an int
         x, y, z = s2.x, s2.y, s2.z
@@ -448,23 +452,17 @@ class GenerativeModel:
         if s2.f_dct:
             pv_x = s2.victim_x + _NORMAL[bits(16)] * sigma_xy
             pv_y = s2.victim_y + _NORMAL[bits(16)] * sigma_xy
-            det = (floor(pv_x / cell), floor(pv_y / cell), round(s2.c_v / cfg.conf_bin))
+            det = (floor(pv_x / cell), floor(pv_y / cell), round(s2.c_v / self._conf_bin))
         else:
             det = None
         obstacle = False
         occ = self.occupancy
         # a step sweeps no lower than one climb step down, and nothing is
         # occupied at or above the grid's top
-        if occ is not None and z - cfg.climb_step < occ.top_z:
-            dx, dy, dz = action_displacement(a, z, self.cam, cfg)
+        if occ is not None and z - self._climb < occ.top_z:
+            dx, dy, dz = action_displacement(a, z, self.cam, self.cfg)
             obstacle = occ.ahead(x, y, z, dx, dy, dz)
         return floor(ox / cell), floor(oy / cell), floor(oz / cell), det, obstacle
-
-    def _skip_key(self, s2: PomdpState, rng: Random) -> None:
-        """Take the n 32-bit words ``_observe_key(s2, ...)`` draws; return no key."""
-        cfg = self.cfg
-        n = (2 if cfg.est_noise_xy > 0 else 0) + (cfg.est_noise_z > 0) + (2 if s2.f_dct else 0)
-        rng.getrandbits(32 * n)
 
     def step(self, s: PomdpState, a: int, rng: Random, scratch, keyed: bool = True):
         """Sample (next state, observation key, reward, terminal).
@@ -515,7 +513,11 @@ class GenerativeModel:
                 c_v = modeled_confidence(abs(x - vx) + abs(y - vy) + z, cfg)
         s2 = _tuple_new(PomdpState, (x, y, z, f_crash, f_roi, f_dct, vx, vy, present, c_v))
         terminal = self.is_terminal(s2)
-        key = self._skip_key(s2, rng) if terminal or not keyed else self._observe_key(s2, act, rng)
+        if terminal or not keyed:  # draw the words ``_observe_key`` would, in one call
+            bits(self._pose_bits + 64 if f_dct else self._pose_bits)
+            key = None
+        else:
+            key = self._observe_key(s2, act, rng)
         d_w = self.d_w
         eps, d_v = 0.0, d_w
         if live:

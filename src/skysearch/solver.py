@@ -1,6 +1,7 @@
 """Online POMDP solver: UCB-guided Monte-Carlo search over a generative
 model with a particle belief, reusing the subtree under the executed
-action/observation across real steps.
+action/observation across real steps. Each episode is one loop that
+descends, rolls out from the child it adds and backs up (``_search``).
 
 The solver is generic over any model exposing::
 
@@ -85,14 +86,15 @@ class SolverConfig:
         for name in ("episodes_per_step", "bootstrap_episodes", "max_depth", "n_particles"):
             if getattr(self, name) < 1:
                 raise ValueError(f"solver budget {name} must be at least 1")
-        if not self.ucb_c >= 0.0:
-            raise ValueError("exploration constant ucb_c must be non-negative")
+        if not 0.0 <= self.ucb_c < math.inf:
+            raise ValueError("exploration constant ucb_c must be finite and non-negative")
         if not (0.0 <= self.reinvig_frac <= 1.0 and 0.0 <= self.refresh_frac <= 1.0):
             raise ValueError("reinvig_frac and refresh_frac must be in [0, 1]")
-        if not self.engaged_boost > 0.0:
-            raise ValueError("episode multiplier engaged_boost must be positive")
-        if self.step_seconds is not None and not self.step_seconds > 0.0:
-            raise ValueError("wall-clock budget step_seconds must be positive when set")
+        if not 0.0 < self.engaged_boost < math.inf:
+            raise ValueError("episode multiplier engaged_boost must be finite and positive")
+        if self.step_seconds is not None and not 0.0 < self.step_seconds < math.inf:
+            raise ValueError("wall-clock budget step_seconds must be finite and positive "
+                             "when set")
 
 
 def _return_bound(model, cfg: SolverConfig) -> float:
@@ -102,61 +104,16 @@ def _return_bound(model, cfg: SolverConfig) -> float:
     return model.max_abs_reward * (1.0 - g ** cfg.max_depth) / (1.0 - g)
 
 
-def _simulate(node: BeliefNode, state, depth: int, model, cfg: SolverConfig,
-              scratch, rng: Random, allowed=None) -> float:
-    if depth >= cfg.max_depth:
-        return 0.0
-    # pick the first untried action, else UCB1
-    edges = node.edges
-    if depth:  # below the root, actions are first tried once each in index order
-        actions = range(model.n_actions)
-        action = node.n_visits if node.n_visits < model.n_actions else -1
-    else:  # a root searched under ``allowed`` may have tried any subset
-        action = -1
-        actions = range(model.n_actions) if allowed is None else allowed
-        for a in actions:
-            e = edges[a]
-            if e is None or e.n == 0:
-                action = a
-                break
-    if action < 0:
-        log_n = math.log(node.n_visits)
-        ucb_c, sqrt = cfg.ucb_c, math.sqrt
-        best = -math.inf
-        for a in actions:
-            e = edges[a]
-            u = e.q + ucb_c * sqrt(log_n / e.n)
-            if u > best:
-                best = u
-                action = a
-    state2, key, r, terminal = model.step(state, action, rng, scratch)
-    edge = edges[action]
-    if edge is None:
-        edge = edges[action] = _Edge()
-    if terminal:
-        total = r
-    else:
-        child = edge.children.get(key)
-        if child is None:
-            edge.children[key] = BeliefNode(model.n_actions)
-            total = r + model.gamma * _rollout(state2, depth + 1, model, cfg, scratch, rng)
-        else:
-            total = r + model.gamma * _simulate(child, state2, depth + 1, model,
-                                                cfg, scratch, rng)
-    node.n_visits += 1
-    edge.n += 1
-    edge.q += (total - edge.q) / edge.n
-    return total
-
-
 def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) -> float:
     total = 0.0
     disc = 1.0
-    # ``choice`` makes ``randrange(n_actions)``'s one ``_randbelow`` draw with fewer checks
-    step, choice, actions = model.step, rng.choice, range(model.n_actions)
-    gamma = model.gamma
+    step, bits, gamma, n_actions = model.step, rng.getrandbits, model.gamma, model.n_actions
+    k = n_actions.bit_length()
     for _ in range(depth, cfg.max_depth):
-        state, _, r, terminal = step(state, choice(actions), rng, scratch, False)
+        a = bits(k)  # ``rng.choice(range(n_actions))``'s draw, inlined
+        while a >= n_actions:
+            a = bits(k)
+        state, _, r, terminal = step(state, a, rng, scratch, False)
         total += disc * r
         if terminal:
             break
@@ -166,16 +123,80 @@ def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) 
 
 def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
             rng: Random, allowed=None) -> None:
+    """Run ``episodes`` search episodes from ``root``, each in one loop.
+
+    An episode draws a root particle, then descends: below the root the
+    first untried action in index order, else UCB1; at the root the first
+    untried action of ``allowed``, else UCB1 over it. It stops at a terminal
+    step, at ``max_depth`` or at a new observation key, whose child it adds
+    and rolls out from, then backs the returns up from the deepest step.
+    Both draws equal ``Random.choice``'s, value for value and in RNG state;
+    the results are property-tested against the recursive search it replaced.
+    """
     particles = root.belief.particles
+    n_particles = len(particles)
+    if not n_particles:
+        raise IndexError("cannot search from an empty belief")
     bound = _return_bound(model, cfg) + 1e-9
     deadline = None
     if cfg.step_seconds is not None:
         deadline = time.monotonic() + cfg.step_seconds
         episodes = 1 << 62
-    choice, new_scratch = rng.choice, model.new_scratch
+    step, new_scratch, bits = model.step, model.new_scratch, rng.getrandbits
+    n_actions, gamma = model.n_actions, model.gamma
+    max_depth, ucb_c = cfg.max_depth, cfg.ucb_c
+    log, sqrt = math.log, math.sqrt
+    every = range(n_actions)
+    at_root = every if allowed is None else allowed
+    k = n_particles.bit_length()
     for ep in range(episodes):
-        state = choice(particles)
-        total = _simulate(root, state, 0, model, cfg, new_scratch(), rng, allowed)
+        i = bits(k)  # ``rng.choice(particles)``'s draw, inlined
+        while i >= n_particles:
+            i = bits(k)
+        state, scratch = particles[i], new_scratch()
+        node, depth, path, total = root, 0, [], 0.0
+        while True:
+            edges = node.edges
+            if depth:  # below the root, actions are first tried once each in index order
+                actions = every
+                action = node.n_visits if node.n_visits < n_actions else -1
+            else:  # a root searched under ``allowed`` may have tried any subset
+                actions, action = at_root, -1
+                for a in actions:
+                    e = edges[a]
+                    if e is None or e.n == 0:
+                        action = a
+                        break
+            if action < 0:
+                log_n = log(node.n_visits)
+                best = -math.inf
+                for a in actions:
+                    e = edges[a]
+                    u = e.q + ucb_c * sqrt(log_n / e.n)
+                    if u > best:
+                        best = u
+                        action = a
+            state, key, r, terminal = step(state, action, rng, scratch)
+            edge = edges[action]
+            if edge is None:
+                edge = edges[action] = _Edge()
+            path.append((node, edge, r))
+            if terminal:
+                break
+            depth += 1
+            child = edge.children.get(key)
+            if child is None:
+                edge.children[key] = BeliefNode(n_actions)
+                total = _rollout(state, depth, model, cfg, scratch, rng)
+                break
+            if depth >= max_depth:
+                break
+            node = child
+        for node, edge, r in reversed(path):
+            total = r + gamma * total
+            node.n_visits += 1
+            edge.n += 1
+            edge.q += (total - edge.q) / edge.n
         if not abs(total) <= bound:
             raise AssertionError(f"episode return {total} exceeds bound {bound}")
         if deadline is not None and ep % 64 == 63 and time.monotonic() >= deadline:

@@ -218,6 +218,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and line.partition("=")[0].strip() in err
 
+    @pytest.mark.parametrize("key", ["ucb_c", "engaged_boost", "step_seconds"])
+    def test_non_finite_solver_setting_rejected_before_any_flight(self, tmp_path, capsys,
+                                                                  monkeypatch, key):
+        # ucb_c = inf flew without a word, engaged_boost = inf ended in a raw
+        # OverflowError, and step_seconds = inf searched forever
+        def fly(setup):
+            raise AssertionError("a flight started")
+        monkeypatch.setattr(cli, "execute_run", fly)
+        assert self.run_with_override(tmp_path, "offboard", f"{key} = inf") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     @pytest.mark.parametrize("cell", ["0", "-1"])
     def test_heatmap_nonpositive_cell_rejected(self, tmp_path, capsys, cell):
         # 0 divided by zero and -1 wrote a 1x1 heatmap

@@ -277,21 +277,22 @@ class TestObservation:
             assert key_fast[-1] == (edge < 0)  # over the 5 m tree
 
     @given(x=st.floats(-2, 62), y=st.floats(-2, 8), z=st.floats(0.5, 18.0),
-           f_dct=st.booleans(), c_v=st.floats(0.0, 1.0),
-           a=st.sampled_from(list(ActionCmd)), seed=st.integers(0, 2**32),
-           est_noise_xy=st.sampled_from([0.0, 0.1, 3.0]),
+           victim_in_view=st.booleans(), a=st.sampled_from(list(ActionCmd)),
+           seed=st.integers(0, 2**32), est_noise_xy=st.sampled_from([0.0, 0.1, 3.0]),
            est_noise_z=st.sampled_from([0.0, 0.05, 2.0]))
     @settings(max_examples=150, deadline=None)
-    def test_skipping_the_key_takes_exactly_its_draws(self, x, y, z, f_dct, c_v, a, seed,
-                                                      est_noise_xy, est_noise_z):
+    def test_an_unkeyed_step_takes_exactly_the_keys_draws(self, x, y, z, victim_in_view, a,
+                                                          seed, est_noise_xy, est_noise_z):
+        # the unkeyed step draws the key's words in one call; the reference
+        # draws the motion, then builds the key
         cfg = replace(CFG, est_noise_xy=est_noise_xy, est_noise_z=est_noise_z)
         model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID)
-        s2 = PomdpState(x, y, z, f_dct=f_dct, victim_x=x + 0.5, victim_y=y,
-                        victim_present=True, c_v=c_v if f_dct else 0.0)
-        keyed, skipped = Random(seed), Random(seed)
-        model._observe_key(s2, a, keyed)
-        model._skip_key(s2, skipped)
-        assert keyed.getstate() == skipped.getstate()
+        s = PomdpState(x, y, z, victim_x=x if victim_in_view else x + 100.0, victim_y=y,
+                       victim_present=True)
+        skipped, keyed = Random(seed), Random(seed)
+        model.step(s, a, skipped, model.new_scratch(), False)
+        model._observe_key(transition(s, a, cfg, CAM, L1_GRID, keyed), a, keyed)
+        assert skipped.getstate() == keyed.getstate()
 
 
 def reference_step(s, a, cfg, cov, scratch, rng, keyed=True):

@@ -1,9 +1,11 @@
 """Tree-search planner on small fully-checkable models."""
 
+import itertools
 import math
 import statistics
 from dataclasses import replace
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +95,18 @@ class BanditModel:
     def step(self, s, a, rng, scratch, keyed=True):
         return s, 0, self.MEANS[a] + rng.gauss(0.0, 0.5), True
 
+    def resimulate(self, s, a, rng):
+        return s, 0
+
+    def obs_key_of(self, observed):
+        return observed
+
+    def is_terminal(self, s):
+        return False
+
+    def reinvigorate(self, observed, donors, rng):
+        return 2
+
 
 class RecordingModel:
     """Deterministic tree of action histories: a state is the tuple of the
@@ -133,6 +147,100 @@ class RecordingModel:
 
 def chain_belief(n=2000):
     return ParticleBelief([2] * n, target_size=n)
+
+
+def allowed_masks(n_actions):
+    """``None`` (every action) or a non-empty subset of the actions."""
+    return st.one_of(st.none(), st.lists(st.integers(0, n_actions - 1), min_size=1,
+                                         max_size=n_actions, unique=True))
+
+
+# The recursive search that ``solver._search``'s loop replaced, kept as the
+# reference the loop must match draw for draw and statistic for statistic.
+
+def reference_simulate(node, state, depth, model, cfg, scratch, rng, allowed=None):
+    if depth >= cfg.max_depth:
+        return 0.0
+    # pick the first untried action, else UCB1
+    edges = node.edges
+    if depth:  # below the root, actions are first tried once each in index order
+        actions = range(model.n_actions)
+        action = node.n_visits if node.n_visits < model.n_actions else -1
+    else:  # a root searched under ``allowed`` may have tried any subset
+        action = -1
+        actions = range(model.n_actions) if allowed is None else allowed
+        for a in actions:
+            e = edges[a]
+            if e is None or e.n == 0:
+                action = a
+                break
+    if action < 0:
+        log_n = math.log(node.n_visits)
+        best = -math.inf
+        for a in actions:
+            e = edges[a]
+            u = e.q + cfg.ucb_c * math.sqrt(log_n / e.n)
+            if u > best:
+                best = u
+                action = a
+    state2, key, r, terminal = model.step(state, action, rng, scratch)
+    edge = edges[action]
+    if edge is None:
+        edge = edges[action] = solver._Edge()
+    if terminal:
+        total = r
+    else:
+        child = edge.children.get(key)
+        if child is None:
+            edge.children[key] = BeliefNode(model.n_actions)
+            total = r + model.gamma * reference_rollout(state2, depth + 1, model, cfg,
+                                                        scratch, rng)
+        else:
+            total = r + model.gamma * reference_simulate(child, state2, depth + 1, model,
+                                                         cfg, scratch, rng)
+    node.n_visits += 1
+    edge.n += 1
+    edge.q += (total - edge.q) / edge.n
+    return total
+
+
+def reference_rollout(state, depth, model, cfg, scratch, rng):
+    total = 0.0
+    disc = 1.0
+    for _ in range(depth, cfg.max_depth):
+        state, _, r, terminal = model.step(state, rng.choice(range(model.n_actions)), rng,
+                                           scratch, False)
+        total += disc * r
+        if terminal:
+            break
+        disc *= model.gamma
+    return total
+
+
+def reference_search(root, model, cfg, episodes, rng, allowed=None):
+    """``plan_step``'s search, recursively, without the wall-clock mode."""
+    bound = solver._return_bound(model, cfg) + 1e-9
+    for _ in range(episodes):
+        state = rng.choice(root.belief.particles)
+        total = reference_simulate(root, state, 0, model, cfg, model.new_scratch(), rng,
+                                   allowed)
+        assert abs(total) <= bound
+
+
+def assert_same_tree(got, ref):
+    """Equal visit counts, edge counts and means (exactly) and child keys,
+    node by node."""
+    stack = [(got, ref)]
+    while stack:
+        a, b = stack.pop()
+        assert a.n_visits == b.n_visits
+        assert len(a.edges) == len(b.edges)
+        for ea, eb in zip(a.edges, b.edges):
+            assert (ea is None) == (eb is None)
+            if ea is not None:
+                assert (ea.n, ea.q) == (eb.n, eb.q)
+                assert ea.children.keys() == eb.children.keys()
+                stack.extend((ea.children[k], eb.children[k]) for k in ea.children)
 
 
 class TestPlanStep:
@@ -351,6 +459,167 @@ class TestAdvanceBelief:
             assert all(donors is particles for donors in donor_lists)
 
 
+def toy_model(kind):
+    """One of the three toy models, with a belief to search from."""
+    if kind == "recording":
+        return RecordingModel(3), ParticleBelief([()], target_size=1)
+    return (ChainModel() if kind == "chain" else BanditModel()), chain_belief(5)
+
+
+def copied(belief):
+    return ParticleBelief(list(belief.particles), target_size=belief.target_size)
+
+
+def realised_key(root, action, model):
+    """The key of ``action``'s most visited child, else the first particle's key."""
+    edge = root.edges[action]
+    if edge is not None and edge.children:
+        return max(edge.children, key=lambda k: edge.children[k].n_visits)
+    return model.resimulate(root.belief.particles[0], action, Random(0))[1]
+
+
+def subtree_stats(node):
+    """Every visit count, mean and child key under ``node``, nested."""
+    return node.n_visits, [None if e is None else (e.n, e.q, {
+        k: subtree_stats(c) for k, c in e.children.items()}) for e in node.edges]
+
+
+class TestAgainstRecursiveReference:
+    # two identical roots and RNGs, one searched by ``plan_step``, the other
+    # by the recursive reference, then both advanced across the same step
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["chain", "bandit", "recording"]),
+           rounds=st.lists(st.tuples(st.integers(1, 60), allowed_masks(3)),
+                           min_size=1, max_size=4),
+           max_depth=st.integers(1, 6), ucb_c=st.floats(0.0, 30.0),
+           seed=st.integers(0, 2**32))
+    def test_toy_models(self, kind, rounds, max_depth, ucb_c, seed):
+        model, belief = toy_model(kind)
+        cfg = SolverConfig(max_depth=max_depth, ucb_c=ucb_c)
+        got, ref = BeliefNode(model.n_actions, belief), BeliefNode(model.n_actions, copied(belief))
+        got_rng, ref_rng = Random(seed), Random(seed)
+        for episodes, allowed in rounds:
+            action = plan_step(got, model, cfg, got_rng, allowed=allowed, episodes=episodes)
+            reference_search(ref, model, cfg, episodes, ref_rng, allowed)
+            assert_same_tree(got, ref)
+            assert got_rng.getstate() == ref_rng.getstate()
+            observed = realised_key(got, action, model)
+            got = advance_belief(got, action, observed, model, cfg, got_rng)
+            ref = advance_belief(ref, action, observed, model, cfg, ref_rng)
+            assert_same_tree(got, ref)
+
+    @settings(max_examples=20, deadline=None)
+    @given(sc=short_flight(), seed=st.integers(0, 2**32), max_depth=st.integers(1, 6),
+           episodes=st.integers(1, 60),
+           masks=st.lists(allowed_masks(len(ActionCmd)), min_size=1, max_size=3))
+    def test_generative_model_on_drawn_worlds(self, sc, seed, max_depth, episodes, masks):
+        cfg = sc.cfg
+        scfg = replace(sc.solver, max_depth=max_depth, episodes_per_step=episodes,
+                       bootstrap_episodes=episodes)
+        cam, occupancy = CameraIntrinsics(), sc.truth.obstacles
+        model = GenerativeModel(cfg, RewardParams(), cam, occupancy=occupancy,
+                                cov_map=CoverageMap(cfg.survey, cell_size=cfg.obs_cell))
+        start = EnuPoint(cfg.survey.x_min + 1.0, cfg.survey.y_min + 1.0, cfg.z_max)
+        belief = initial_belief(cfg, scfg.n_particles, Random(seed), start=start)
+        got_rng, ref_rng, world = Random(seed + 1), Random(seed + 1), Random(seed + 2)
+        got = bootstrap(model, belief, scfg, got_rng)
+        ref = BeliefNode(model.n_actions, copied(belief))
+        reference_search(ref, model, scfg, scfg.bootstrap_episodes, ref_rng)
+        assert_same_tree(got, ref)
+        assert got_rng.getstate() == ref_rng.getstate()
+        pose = PomdpState(start.x, start.y, start.z, victim_present=False)
+        for allowed in masks:
+            action = plan_step(got, model, scfg, got_rng, allowed=allowed)
+            reference_search(ref, model, scfg, scfg.episodes_per_step, ref_rng, allowed)
+            assert_same_tree(got, ref)
+            assert got_rng.getstate() == ref_rng.getstate()
+            pose = transition(pose, ActionCmd(action), cfg, cam, occupancy, world,
+                              geofence=True)
+            if pose.f_crash:
+                break
+            obs = generate_observation(pose, ActionCmd(action), cam, cfg, occupancy, world)
+            got = advance_belief(got, action, obs, model, scfg, got_rng)
+            ref = advance_belief(ref, action, obs, model, scfg, ref_rng)
+            assert_same_tree(got, ref)
+
+
+class FirstStates:
+    """Every step ends the episode and draws nothing, so the states stepped
+    from are the search's particle draws, in order."""
+
+    n_actions = 1
+    gamma = 0.5
+    max_abs_reward = 0.0
+
+    def __init__(self):
+        self.states = []
+
+    def new_scratch(self):
+        return None
+
+    def step(self, s, a, rng, scratch, keyed=True):
+        self.states.append(s)
+        return s, 0, 0.0, True
+
+
+class Unfolding:
+    """Every step reaches a new state that is its own key, and draws
+    nothing, so one episode expands the root's first action and rolls out
+    to ``max_depth``; records the rollout's actions."""
+
+    gamma = 1.0
+    max_abs_reward = 0.0
+
+    def __init__(self, n_actions):
+        self.n_actions = n_actions
+        self.rolled = []
+
+    def new_scratch(self):
+        return None
+
+    def step(self, s, a, rng, scratch, keyed=True):
+        if not keyed:
+            self.rolled.append(a)
+        return s + 1, s + 1, 0.0, False
+
+
+class TestDraws:
+    # the search inlines ``Random.choice``'s bounded draw; it must give the
+    # same values and leave the same RNG state as ``choice`` and ``randrange``
+    SIZES = (1, 2, 3, 7, 8, 2000, 2048)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_particle_draw_is_random_choice(self, n):
+        model, particles = FirstStates(), list(range(n))
+        rng, by_choice, by_randrange = Random(n), Random(n), Random(n)
+        plan_step(BeliefNode(1, ParticleBelief(particles, target_size=n)), model,
+                  SolverConfig(), rng, episodes=300)
+        assert model.states == [by_choice.choice(particles) for _ in range(300)]
+        assert model.states == [by_randrange.randrange(n) for _ in range(300)]
+        assert rng.getstate() == by_choice.getstate() == by_randrange.getstate()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rollout_draw_is_random_choice(self, n):
+        model = Unfolding(n)
+        rng, by_choice, by_randrange = Random(n), Random(n), Random(n)
+        plan_step(BeliefNode(n, ParticleBelief([0], target_size=1)), model,
+                  SolverConfig(max_depth=300), rng, episodes=1)
+        by_choice.choice([0])  # the particle draw
+        by_randrange.randrange(1)
+        assert model.rolled == [by_choice.choice(range(n)) for _ in range(299)]
+        assert model.rolled == [by_randrange.randrange(n) for _ in range(299)]
+        assert rng.getstate() == by_choice.getstate() == by_randrange.getstate()
+
+    @pytest.mark.parametrize("step_seconds", [None, 0.05])
+    def test_empty_belief_raises_at_once(self, step_seconds):
+        # a bounded draw below 0 would take ``getrandbits(0)``, which is
+        # always 0, forever
+        with pytest.raises(IndexError):
+            plan_step(BeliefNode(3, ParticleBelief([], target_size=1)), ChainModel(),
+                      SolverConfig(step_seconds=step_seconds), Random(0))
+
+
 class TestConfigValidation:
     def test_budgets_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -365,6 +634,55 @@ class TestConfigValidation:
         t0 = time.monotonic()
         plan_step(BeliefNode(3, chain_belief()), model, cfg, Random(0))
         assert time.monotonic() - t0 < 1.0
+
+    @pytest.mark.parametrize("step_seconds", [0.01, 0.064, 0.0641, 0.5])
+    def test_wall_clock_mode_stops_at_the_first_check_past_its_deadline(
+            self, monkeypatch, step_seconds):
+        # the fake clock reads a millisecond per root visit; the search reads
+        # it once for its deadline, then after every 64th episode
+        model = ChainModel()
+        root = BeliefNode(3, chain_belief())
+        plan_step(root, model, SolverConfig(ucb_c=20.0), Random(0), episodes=10)
+        reads = []
+
+        def monotonic():
+            reads.append(root.n_visits)
+            return root.n_visits * 1e-3
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=monotonic))
+        deadline = 10 * 1e-3 + step_seconds
+        k = next(k for k in itertools.count(64, 64) if (10 + k) * 1e-3 >= deadline)
+        plan_step(root, model, SolverConfig(ucb_c=20.0, step_seconds=step_seconds),
+                  Random(1))
+        assert root.n_visits == 10 + k
+        assert reads == [10] + list(range(10 + 64, 10 + k + 1, 64))
+
+
+class TestSubtreeReuse:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["chain", "bandit", "recording"]),
+           episodes=st.integers(1, 200), max_depth=st.integers(1, 6),
+           ucb_c=st.floats(0.0, 30.0), taken=st.integers(0, 2),
+           seed=st.integers(0, 2**32), data=st.data())
+    def test_realised_child_keeps_every_statistic(self, kind, episodes, max_depth, ucb_c,
+                                                  taken, seed, data):
+        model, belief = toy_model(kind)
+        cfg = SolverConfig(max_depth=max_depth, ucb_c=ucb_c)
+        root = BeliefNode(model.n_actions, belief)
+        plan_step(root, model, cfg, Random(seed), episodes=episodes)
+        edge = root.edges[taken]
+        if edge is not None and edge.children:
+            observed = data.draw(st.sampled_from(sorted(edge.children)))
+        else:
+            observed = realised_key(root, taken, model)
+        child = edge.children.get(observed) if edge is not None else None
+        before = None if child is None else subtree_stats(child)
+        new_root = advance_belief(root, taken, observed, model, cfg, Random(seed + 1))
+        if child is None:  # the bandit's steps all end the episode
+            assert subtree_stats(new_root) == (0, [None] * model.n_actions)
+        else:
+            assert new_root is child
+            assert subtree_stats(new_root) == before
 
 
 def tree_nodes(root):
@@ -388,12 +706,6 @@ def assert_tree_invariants(root, model, cfg):
         assert all(abs(e.q) <= bound for e in edges)
 
 
-def allowed_masks(n_actions):
-    """``None`` (every action) or a non-empty subset of the actions."""
-    return st.one_of(st.none(), st.lists(st.integers(0, n_actions - 1), min_size=1,
-                                         max_size=n_actions, unique=True))
-
-
 class TestTreeInvariants:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["chain", "bandit", "recording"]),
@@ -403,11 +715,7 @@ class TestTreeInvariants:
            seed=st.integers(0, 2**32))
     def test_toy_models(self, kind, rounds, max_depth, ucb_c, seed):
         # three actions each, so that every drawn mask fits every model
-        if kind == "recording":
-            model, belief = RecordingModel(3), ParticleBelief([()], target_size=1)
-        else:
-            model = ChainModel() if kind == "chain" else BanditModel()
-            belief = chain_belief(5)
+        model, belief = toy_model(kind)
         cfg = SolverConfig(max_depth=max_depth, ucb_c=ucb_c)
         root, rng = BeliefNode(model.n_actions, belief), Random(seed)
         for episodes, allowed in rounds:
