@@ -173,6 +173,7 @@ def _checked(kind, ok, rule: str):
 _at_least_one = _checked(int, lambda n: n >= 1, "at least 1")
 _tolerance = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and at least 0")
 _cell = _checked(float, lambda v: 0.0 < v < math.inf, "finite and above 0")
+_finite = _checked(float, math.isfinite, "finite")
 
 
 def _add_common(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
@@ -220,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_heatmap)
 
     p = sub.add_parser("footprint", help="print the camera footprint for a pose")
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--y", type=float, default=0.0)
+    p.add_argument("--x", type=_finite, default=0.0)
+    p.add_argument("--y", type=_finite, default=0.0)
     p.add_argument("--z", type=float, default=16.0)
-    p.add_argument("--yaw", type=float, default=0.0)
+    p.add_argument("--yaw", type=_finite, default=0.0)
     p.add_argument("--pitch", type=float, default=0.0)
     p.add_argument("--roll", type=float, default=0.0)
     p.set_defaults(func=_cmd_footprint)

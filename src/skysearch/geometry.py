@@ -49,10 +49,12 @@ class CameraIntrinsics:
     roll: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.focal_mm <= 0 or self.lens_width_mm <= 0 or self.lens_height_mm <= 0:
-            raise ValueError("lens dimensions and focal length must be positive")
-        if abs(self.pitch) >= math.pi / 2 or abs(self.roll) >= math.pi / 2:
-            raise ValueError("camera tilt angles must be below 90 degrees")
+        # written so that NaN fails each test
+        if not all(0.0 < v < math.inf
+                   for v in (self.focal_mm, self.lens_width_mm, self.lens_height_mm)):
+            raise ValueError("lens dimensions and focal length must be finite and positive")
+        if not (abs(self.pitch) < math.pi / 2 and abs(self.roll) < math.pi / 2):
+            raise ValueError("camera tilt angles must be finite and below 90 degrees")
         tan_h = self.lens_height_mm / (2.0 * self.focal_mm)
         tan_w = self.lens_width_mm / (2.0 * self.focal_mm)
         ha_h, ha_w = math.atan(tan_h), math.atan(tan_w)
@@ -96,8 +98,8 @@ def footprint_extent(altitude: float, cam: CameraIntrinsics) -> tuple[float, flo
     is the signed offset from the sub-camera point; for a straight-down
     camera top/right are positive and bottom/left their negatives.
     """
-    if altitude <= 0:
-        raise ValueError(f"altitude must be positive, got {altitude}")
+    if not 0 < altitude < math.inf:
+        raise ValueError(f"altitude must be finite and positive, got {altitude}")
     top, bottom, left, right = cam.extent_1m
     return altitude * top, altitude * bottom, altitude * left, altitude * right
 

@@ -194,10 +194,13 @@ def confidence_paper_literal(d_uv: float, cfg: ModelConfig) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
+def confidence_model(cfg: ModelConfig):
+    """The confidence curve ``cfg`` selects, as a function of ``(d_uv, cfg)``."""
+    return confidence_paper_literal if cfg.paper_literal_confidence else confidence_proximity
+
+
 def modeled_confidence(d_uv: float, cfg: ModelConfig) -> float:
-    if cfg.paper_literal_confidence:
-        return confidence_paper_literal(d_uv, cfg)
-    return confidence_proximity(d_uv, cfg)
+    return confidence_model(cfg)(d_uv, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +386,10 @@ def _sample_region(region: Rect, rng: Random) -> tuple[float, float]:
 
 class GenerativeModel:
     """Bundles transition, observation and reward into the single sampler
-    the planner needs, with a copy-on-write coverage scratch so imagined
-    futures never pollute the real map.
+    the planner needs, with a coverage scratch view so imagined futures
+    never pollute the real map. The model holds one view, taken when it is
+    built: ``new_scratch`` resets it to the live map and returns it, so a
+    scratch is valid until the next ``new_scratch`` call.
 
     Assumes zero yaw (no heading actions), which keeps every footprint an
     axis-aligned rectangle. ``step`` moves the pose itself, with the motion
@@ -434,9 +439,18 @@ class GenerativeModel:
         self._cell, self._conf_bin = cfg.obs_cell, cfg.conf_bin
         self._est_noise = cfg.est_noise_xy, cfg.est_noise_z
         self._pose_bits = 32 * ((2 if cfg.est_noise_xy > 0 else 0) + (cfg.est_noise_z > 0))
+        # the calls ``step`` makes through the model, and the one scratch view
+        self._confidence = confidence_model(cfg)
+        self._stamp_rect = self.cov_map.stamp_rect
+        self._overlap_then_stamp = self.cov_map.overlap_then_stamp
+        self._scratch = self.cov_map.snapshot()
 
     def new_scratch(self):
-        return self.cov_map.snapshot()
+        """The model's one scratch view, reset to the live map; the view a
+        previous call returned is reset with it."""
+        view = self._scratch
+        view.cells = self.cov_map.cells
+        return view
 
     def _observe_key(self, s2: PomdpState, a: ActionCmd, rng: Random) -> tuple:
         """Observation bin of ``generate_observation`` without building the
@@ -510,7 +524,7 @@ class GenerativeModel:
             y0, y1 = y + h * bottom, y + h * top
             if present and x0 <= vx <= x1 and y0 <= vy <= y1:
                 f_dct = True
-                c_v = modeled_confidence(abs(x - vx) + abs(y - vy) + z, cfg)
+                c_v = self._confidence(abs(x - vx) + abs(y - vy) + z, cfg)
         s2 = _tuple_new(PomdpState, (x, y, z, f_crash, f_roi, f_dct, vx, vy, present, c_v))
         terminal = self.is_terminal(s2)
         if terminal or not keyed:  # draw the words ``_observe_key`` would, in one call
@@ -522,9 +536,9 @@ class GenerativeModel:
         eps, d_v = 0.0, d_w
         if live:
             if f_dct:
-                self.cov_map.stamp_rect(x0, y0, x1, y1, scratch)
+                self._stamp_rect(x0, y0, x1, y1, scratch)
             else:
-                eps = self.cov_map.overlap_then_stamp(x0, y0, x1, y1, scratch)
+                eps = self._overlap_then_stamp(x0, y0, x1, y1, scratch)
                 if present:
                     d_v = abs(x - vx) + abs(y - vy)
         r = reward(s2, act, eps, d_v, d_w, self.params, cfg)
@@ -545,8 +559,8 @@ class GenerativeModel:
         completion belong to the flight loops."""
         return s.c_v >= self.cfg.zeta or s.f_crash or s.f_roi
 
-    def reinvigorate(self, obs: Observation, donors, rng: Random) -> PomdpState:
-        """Fresh particle consistent with the real observation.
+    def reinvigorate(self, obs: Observation, donors, n: int, rng: Random) -> list:
+        """``n`` fresh particles consistent with the real observation.
 
         The UAV pose snaps to the position estimate. On a detection the
         victim hypothesis sits near the reported position with the observed
@@ -556,51 +570,75 @@ class GenerativeModel:
         with the complement of its modeled detection confidence, since one
         missed frame set is weak evidence of absence. When no candidate
         survives, the consistent explanation is that no victim is there.
+
+        The particles are drawn one after another, each as a call per
+        particle would draw it; the observation's footprint and the
+        constants are bound once per refill. A donor is drawn with
+        ``Random.randrange``'s bounded draw, inlined.
         """
         cfg = self.cfg
-        bits, uniform, randrange = rng.getrandbits, rng.random, rng.randrange
-        ux = obs.pu_x + _NORMAL[bits(16)] * cfg.est_noise_xy
-        uy = obs.pu_y + _NORMAL[bits(16)] * cfg.est_noise_xy
-        uz = obs.pu_z + _NORMAL[bits(16)] * cfg.est_noise_z
-        if obs.detected:
-            # a detection is credible to the extent its confidence matches
-            # what the model expects at that range; a weak return from
-            # close up points at a lookalike, not a victim
-            d_obs = abs(ux - obs.pv_x) + abs(uy - obs.pv_y) + uz
-            expected = max(modeled_confidence(d_obs, cfg), cfg.zeta_min)
-            if uniform() < min(obs.zeta / expected, 1.0):
-                vx = obs.pv_x + _NORMAL[bits(16)] * cfg.est_noise_xy
-                vy = obs.pv_y + _NORMAL[bits(16)] * cfg.est_noise_xy
-                if donors and uniform() < 0.7:
-                    # average the fresh report with an earlier hypothesis so
-                    # repeated detections contract the position spread
-                    donor = donors[randrange(len(donors))]
-                    if donor.victim_present and donor.f_dct:
-                        vx = 0.5 * (donor.victim_x + vx) + _NORMAL[bits(16)] * 0.1
-                        vy = 0.5 * (donor.victim_y + vy) + _NORMAL[bits(16)] * 0.1
-                return PomdpState(ux, uy, uz, False, False, True, vx, vy, True, obs.zeta)
-            return PomdpState(ux, uy, uz, False, False, False, 0.0, 0.0, False, 0.0)
-        l_top, l_bottom, l_left, l_right = footprint_extent(max(obs.pu_z, 1e-6), self.cam)
-        x0, x1 = obs.pu_x + l_left, obs.pu_x + l_right
-        y0, y1 = obs.pu_y + l_bottom, obs.pu_y + l_top
-        if uniform() < self.victim_prior:
-            vx = vy = None
-            for _ in range(30):
-                if donors and uniform() < 0.9:
-                    donor = donors[randrange(len(donors))]
-                    if not donor.victim_present:
-                        continue
-                    vx = donor.victim_x + _NORMAL[bits(16)] * 0.25
-                    vy = donor.victim_y + _NORMAL[bits(16)] * 0.25
-                else:
-                    vx, vy = _sample_region(self.prior_region, rng)
-                break
-            if vx is not None:
-                if x0 <= vx <= x1 and y0 <= vy <= y1 and uniform() < self.MISS_PRUNE:
-                    # in view yet not detected: usually the spot is clear,
-                    # but one missed call is not proof (the victim may have
-                    # entered the view only for the last few frames)
-                    return PomdpState(ux, uy, uz, False, False, False,
-                                      0.0, 0.0, False, 0.0)
-                return PomdpState(ux, uy, uz, False, False, False, vx, vy, True, 0.0)
-        return PomdpState(ux, uy, uz, False, False, False, 0.0, 0.0, False, 0.0)
+        bits, uniform = rng.getrandbits, rng.random
+        sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
+        pu_x, pu_y, pu_z = obs.pu_x, obs.pu_y, obs.pu_z
+        detected, pv_x, pv_y, zeta = obs.detected, obs.pv_x, obs.pv_y, obs.zeta
+        if not detected:
+            l_top, l_bottom, l_left, l_right = footprint_extent(max(pu_z, 1e-6), self.cam)
+            x0, x1 = pu_x + l_left, pu_x + l_right
+            y0, y1 = pu_y + l_bottom, pu_y + l_top
+        confidence, zeta_min = self._confidence, cfg.zeta_min
+        prior, region, prune = self.victim_prior, self.prior_region, self.MISS_PRUNE
+        n_donors = len(donors)
+        k = n_donors.bit_length()
+        fresh = []
+        append = fresh.append
+        for _ in range(n):
+            ux = pu_x + _NORMAL[bits(16)] * sigma_xy
+            uy = pu_y + _NORMAL[bits(16)] * sigma_xy
+            uz = pu_z + _NORMAL[bits(16)] * sigma_z
+            vx = None
+            if detected:
+                # a detection is credible to the extent its confidence matches
+                # what the model expects at that range; a weak return from
+                # close up points at a lookalike, not a victim
+                expected = max(confidence(abs(ux - pv_x) + abs(uy - pv_y) + uz, cfg), zeta_min)
+                if uniform() < min(zeta / expected, 1.0):
+                    vx = pv_x + _NORMAL[bits(16)] * sigma_xy
+                    vy = pv_y + _NORMAL[bits(16)] * sigma_xy
+                    if n_donors and uniform() < 0.7:
+                        # average the fresh report with an earlier hypothesis
+                        # so repeated detections contract the position spread
+                        i = bits(k)
+                        while i >= n_donors:
+                            i = bits(k)
+                        donor = donors[i]
+                        if donor.victim_present and donor.f_dct:
+                            vx = 0.5 * (donor.victim_x + vx) + _NORMAL[bits(16)] * 0.1
+                            vy = 0.5 * (donor.victim_y + vy) + _NORMAL[bits(16)] * 0.1
+                    append(_tuple_new(PomdpState, (ux, uy, uz, False, False, True,
+                                                   vx, vy, True, zeta)))
+                    continue
+            elif uniform() < prior:
+                for _ in range(30):
+                    if n_donors and uniform() < 0.9:
+                        i = bits(k)
+                        while i >= n_donors:
+                            i = bits(k)
+                        donor = donors[i]
+                        if not donor.victim_present:
+                            continue
+                        vx = donor.victim_x + _NORMAL[bits(16)] * 0.25
+                        vy = donor.victim_y + _NORMAL[bits(16)] * 0.25
+                    else:
+                        vx, vy = _sample_region(region, rng)
+                    break
+                # in view yet not detected: usually the spot is clear, but one
+                # missed call is not proof (the victim may have entered the
+                # view only for the last few frames)
+                if vx is not None and not (x0 <= vx <= x1 and y0 <= vy <= y1
+                                           and uniform() < prune):
+                    append(_tuple_new(PomdpState, (ux, uy, uz, False, False, False,
+                                                   vx, vy, True, 0.0)))
+                    continue
+            append(_tuple_new(PomdpState, (ux, uy, uz, False, False, False,
+                                           0.0, 0.0, False, 0.0)))
+        return fresh

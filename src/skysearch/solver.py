@@ -9,12 +9,14 @@ The solver is generic over any model exposing::
     gamma: float
     max_abs_reward: float
     new_scratch() -> object passed through to step
+        (may return one reused view, valid until the next new_scratch call)
     step(state, action, rng, scratch, keyed) -> (state2, obs_key, reward, terminal)
         (obs_key is None when keyed is false, as in rollouts, or terminal)
 
 Belief advancement additionally needs ``resimulate``, ``obs_key_of``,
-``is_terminal`` and ``reinvigorate`` (see :mod:`skysearch.model`). Every
-refill draws fresh particles from ``reinvigorate``, so it is required.
+``is_terminal`` and ``reinvigorate(observed, donors, n, rng) -> list`` of
+``n`` fresh states (see :mod:`skysearch.model`). Every refill draws at least
+one fresh particle from ``reinvigorate``, so it is required.
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
 
     An episode draws a root particle, then descends: below the root the
     first untried action in index order, else UCB1; at the root the first
-    untried action of ``allowed``, else UCB1 over it. It stops at a terminal
-    step, at ``max_depth`` or at a new observation key, whose child it adds
-    and rolls out from, then backs the returns up from the deepest step.
+    untried action of ``allowed``, else UCB1 over it, both in one pass. It
+    stops at a terminal step, at ``max_depth`` or at a new observation key,
+    whose child it adds and rolls out from, then backs the returns up from
+    the deepest step.
     Both draws equal ``Random.choice``'s, value for value and in RNG state;
     the results are property-tested against the recursive search it replaced.
     """
@@ -156,22 +159,17 @@ def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
         state, scratch = particles[i], new_scratch()
         node, depth, path, total = root, 0, [], 0.0
         while True:
-            edges = node.edges
-            if depth:  # below the root, actions are first tried once each in index order
-                actions = every
-                action = node.n_visits if node.n_visits < n_actions else -1
-            else:  # a root searched under ``allowed`` may have tried any subset
-                actions, action = at_root, -1
-                for a in actions:
+            edges, n = node.edges, node.n_visits
+            if depth and n < n_actions:  # below the root, tried once each in index order
+                action = n
+            else:  # one pass: a root searched under ``allowed`` may have tried any subset
+                log_n = log(n) if n else 0.0  # n is 0 only while no action was tried
+                best, action = -math.inf, -1
+                for a in every if depth else at_root:
                     e = edges[a]
-                    if e is None or e.n == 0:
+                    if e is None or not e.n:
                         action = a
                         break
-            if action < 0:
-                log_n = log(node.n_visits)
-                best = -math.inf
-                for a in actions:
-                    e = edges[a]
                     u = e.q + ucb_c * sqrt(log_n / e.n)
                     if u > best:
                         best = u
@@ -269,13 +267,15 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
     else:
         keep = len(survivors)
     particles = survivors[:keep]
-    n_survivors, randrange = len(survivors), rng.randrange
-    while len(particles) < keep:
-        particles.append(survivors[randrange(n_survivors)])
+    n_survivors, bits = len(survivors), rng.getrandbits
+    k = n_survivors.bit_length()
+    for _ in range(keep - len(particles)):  # ``rng.randrange(n_survivors)``, inlined
+        i = bits(k)
+        while i >= n_survivors:
+            i = bits(k)
+        particles.append(survivors[i])
     donors = survivors or root.belief.particles
-    reinvigorate = model.reinvigorate
-    while len(particles) < target:
-        particles.append(reinvigorate(observed, donors, rng))
+    particles += model.reinvigorate(observed, donors, target - len(particles), rng)
 
     belief = ParticleBelief(particles, target_size=target, survival_rate=rate)
     new_root = child if child is not None else BeliefNode(model.n_actions)

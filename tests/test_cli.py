@@ -154,6 +154,16 @@ class TestFootprintCommand:
         out = capsys.readouterr().out
         assert "7.0128" in out and "5.1745" in out
 
+    # each printed NaN or inf extents and exited 0
+    @pytest.mark.parametrize("flag, value", [("--z", "nan"), ("--z", "inf"),
+                                             ("--pitch", "nan"), ("--roll", "nan"),
+                                             ("--x", "inf"), ("--y", "nan"),
+                                             ("--yaw", "nan")])
+    def test_non_finite_input_rejected(self, capsys, flag, value):
+        assert cli.cli_main(["footprint", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and not captured.out
+
 
 class TestExitCodes:
     def test_unknown_flag(self):

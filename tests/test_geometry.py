@@ -51,6 +51,19 @@ class TestFootprintExtent:
         with pytest.raises(ValueError):
             footprint_extent(0.0, CAM)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_altitude_rejected(self, z):
+        # ``nan <= 0`` is false, so NaN extents once came back
+        with pytest.raises(ValueError, match="finite"):
+            footprint_extent(z, CAM)
+
+    @pytest.mark.parametrize("field", ["pitch", "roll", "focal_mm", "lens_width_mm",
+                                       "lens_height_mm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_camera_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            CameraIntrinsics(**{field: value})
+
     def test_pitched_camera_asymmetric(self):
         tilted = CameraIntrinsics(pitch=0.2)
         l_top, l_bottom, _, _ = footprint_extent(10.0, tilted)

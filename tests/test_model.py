@@ -335,6 +335,21 @@ class TestGenerativeStep:
             return "out"
         return "detect" if s.f_dct else ("absent" if not s.victim_present else "miss")
 
+    def test_new_scratch_resets_its_view_to_the_live_map(self):
+        # the model keeps one scratch view; each call resets it, so a stamp
+        # made through one episode's scratch is gone in the next episode's
+        cov = CoverageMap(CFG.survey, cell_size=CFG.obs_cell)
+        cov.stamp_rect(10.0, 1.0, 14.0, 5.0)
+        model = GenerativeModel(CFG, RP, CAM, cov_map=cov)
+        first = model.new_scratch()
+        cov.stamp_rect(40.0, 1.0, 44.0, 5.0, first)
+        assert first.cells != cov.cells
+        second = model.new_scratch()
+        assert second.cells == cov.cells
+        assert cov.rect_overlap(40.0, 1.0, 44.0, 5.0, second) == 0.0
+        cov.stamp_rect(20.0, 1.0, 24.0, 5.0)  # the live map moves on between plans
+        assert model.new_scratch().cells == cov.cells
+
     @pytest.mark.parametrize("kind", STARTS)
     def test_step_matches_reference_composition(self, kind):
         # a rollout's unkeyed step must leave everything, the RNG included,
@@ -346,7 +361,7 @@ class TestGenerativeStep:
         for seed, a, keyed in itertools.product(range(12), range(model.n_actions),
                                                 (True, False)):
             fast_rng, ref_rng = Random(seed), Random(seed)
-            fast, ref = model.new_scratch(), model.new_scratch()
+            fast, ref = model.new_scratch(), cov.snapshot()
             s = self.STARTS[kind]
             for _ in range(2):  # the second step overlaps the first stamp
                 got = model.step(s, a, fast_rng, fast, keyed)
@@ -370,7 +385,7 @@ class TestGenerativeStep:
         seen_before = 0
         for seed, a, keyed in itertools.product(range(12), range(model.n_actions),
                                                 (True, False)):
-            fast, ref = model.new_scratch(), model.new_scratch()
+            fast, ref = model.new_scratch(), cov.snapshot()
             for scratch in (fast, ref):  # the left half of the start view
                 cov.stamp_rect(s.x - 2.0, s.y - 2.0, s.x, s.y + 2.0, scratch)
             before = replace(fast)
@@ -426,7 +441,7 @@ class TestGenerativeStep:
         cov = CoverageMap(cfg.survey, cell_size=cfg.obs_cell)
         model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID, cov_map=cov)
         s = self.drawn_start(pose, victim)
-        fast, ref = model.new_scratch(), model.new_scratch()
+        fast, ref = model.new_scratch(), cov.snapshot()
         if stamp is not None:  # part of the ground round the pose already seen
             x0, y0 = s.x + stamp[0], s.y + stamp[1]
             for scratch in (fast, ref):
@@ -452,6 +467,109 @@ class TestGenerativeStep:
         if not terminal:
             assert key == t_key
         assert belief_rng.getstate() == search_rng.getstate()
+
+
+def reference_reinvigorate(model, obs, donors, rng):
+    """One fresh particle, as ``GenerativeModel.reinvigorate`` drew each
+    particle of a refill in a call of its own, with ``Random.randrange``."""
+    cfg = model.cfg
+    bits, uniform, randrange = rng.getrandbits, rng.random, rng.randrange
+    ux = obs.pu_x + model_normal(bits) * cfg.est_noise_xy
+    uy = obs.pu_y + model_normal(bits) * cfg.est_noise_xy
+    uz = obs.pu_z + model_normal(bits) * cfg.est_noise_z
+    if obs.detected:
+        d_obs = abs(ux - obs.pv_x) + abs(uy - obs.pv_y) + uz
+        expected = max(modeled_confidence(d_obs, cfg), cfg.zeta_min)
+        if uniform() < min(obs.zeta / expected, 1.0):
+            vx = obs.pv_x + model_normal(bits) * cfg.est_noise_xy
+            vy = obs.pv_y + model_normal(bits) * cfg.est_noise_xy
+            if donors and uniform() < 0.7:
+                donor = donors[randrange(len(donors))]
+                if donor.victim_present and donor.f_dct:
+                    vx = 0.5 * (donor.victim_x + vx) + model_normal(bits) * 0.1
+                    vy = 0.5 * (donor.victim_y + vy) + model_normal(bits) * 0.1
+            return PomdpState(ux, uy, uz, False, False, True, vx, vy, True, obs.zeta)
+        return PomdpState(ux, uy, uz, False, False, False, 0.0, 0.0, False, 0.0)
+    l_top, l_bottom, l_left, l_right = footprint_extent(max(obs.pu_z, 1e-6), model.cam)
+    x0, x1 = obs.pu_x + l_left, obs.pu_x + l_right
+    y0, y1 = obs.pu_y + l_bottom, obs.pu_y + l_top
+    if uniform() < model.victim_prior:
+        vx = vy = None
+        for _ in range(30):
+            if donors and uniform() < 0.9:
+                donor = donors[randrange(len(donors))]
+                if not donor.victim_present:
+                    continue
+                vx = donor.victim_x + model_normal(bits) * 0.25
+                vy = donor.victim_y + model_normal(bits) * 0.25
+            else:
+                region = model.prior_region
+                vx = rng.uniform(region.x_min, region.x_max)
+                vy = rng.uniform(region.y_min, region.y_max)
+            break
+        if vx is not None:
+            if x0 <= vx <= x1 and y0 <= vy <= y1 and uniform() < model.MISS_PRUNE:
+                return PomdpState(ux, uy, uz, False, False, False, 0.0, 0.0, False, 0.0)
+            return PomdpState(ux, uy, uz, False, False, False, vx, vy, True, 0.0)
+    return PomdpState(ux, uy, uz, False, False, False, 0.0, 0.0, False, 0.0)
+
+
+def model_normal(bits):
+    return model._NORMAL[bits(16)]
+
+
+class TestReinvigorate:
+    # the batched refill against one reference call per particle
+    DONOR = st.builds(
+        lambda dx, dy, present, dct: PomdpState(30.0 + dx, 3.0 + dy, 10.0, False, False, dct,
+                                                30.0 + dx, 3.0 + dy, present,
+                                                0.5 if dct else 0.0),
+        st.floats(-8.0, 8.0), st.floats(-4.0, 4.0), st.booleans(), st.booleans())
+    DONORS = st.one_of(st.just([]),
+                       st.lists(DONOR.map(lambda p: p._replace(victim_present=False)),
+                                min_size=1, max_size=8),
+                       st.lists(DONOR, min_size=1, max_size=8))
+    OBSERVATIONS = st.one_of(
+        st.builds(lambda x, y, z: Observation(x, y, z, False),
+                  st.floats(26.0, 34.0), st.floats(0.0, 6.0), st.floats(0.5, 18.0)),
+        st.builds(lambda x, y, z, dx, dy, zeta: Observation(x, y, z, True, x + dx, y + dy,
+                                                            zeta),
+                  st.floats(26.0, 34.0), st.floats(0.0, 6.0), st.floats(0.5, 18.0),
+                  st.floats(-3.0, 3.0), st.floats(-2.0, 2.0), st.floats(0.0, 1.0)))
+
+    @staticmethod
+    def assert_refill_matches_reference(gm, obs, donors, n, seed):
+        rng, ref_rng = Random(seed), Random(seed)
+        fresh = gm.reinvigorate(obs, donors, n, rng)
+        assert fresh == [reference_reinvigorate(gm, obs, donors, ref_rng) for _ in range(n)]
+        assert all(type(p) is PomdpState for p in fresh)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(obs=OBSERVATIONS, donors=DONORS, n=st.integers(0, 40),
+           prior=st.floats(0.0, 1.0), inspection=st.booleans(), literal=st.booleans(),
+           noise=st.sampled_from([(0.1, 0.05), (0.0, 0.0), (2.0, 1.0)]),
+           seed=st.integers(0, 2**32))
+    def test_batch_equals_one_reference_call_per_particle(self, obs, donors, n, prior,
+                                                          inspection, literal, noise, seed):
+        cfg = replace(CFG, paper_literal_confidence=literal, est_noise_xy=noise[0],
+                      est_noise_z=noise[1])
+        # an inspection's prior region is one footprint round the detection
+        region = Rect(28.0, 1.0, 33.0, 5.0) if inspection else None
+        gm = GenerativeModel(cfg, RP, CAM, prior_region=region, victim_prior=prior)
+        self.assert_refill_matches_reference(gm, obs, donors, n, seed)
+
+    @pytest.mark.parametrize("detected", [False, True])
+    def test_donor_draw_is_random_randrange(self, detected):
+        # donors far apart and all present, so each fresh hypothesis names
+        # the donor it came from; one donor list of each length 1..300
+        gm = GenerativeModel(CFG, RP, CAM)
+        obs = (Observation(30.0, 3.0, 6.0, True, 30.0, 3.0, 1.0) if detected
+               else Observation(30.0, 3.0, 6.0, False))
+        for m in range(1, 301):
+            donors = [PomdpState(30.0, 3.0, 6.0, False, False, True, 1000.0 * i, 0.0, True,
+                                 0.5) for i in range(m)]
+            self.assert_refill_matches_reference(gm, obs, donors, 20, m)
 
 
 class TestTerminal:

@@ -59,8 +59,8 @@ class ChainModel:
     def is_terminal(self, s):
         return False
 
-    def reinvigorate(self, observed, donors, rng):
-        return observed
+    def reinvigorate(self, observed, donors, n, rng):
+        return [observed] * n
 
     def value_iteration(self, depth):
         """Exact optimal action at every state for the given horizon."""
@@ -104,8 +104,8 @@ class BanditModel:
     def is_terminal(self, s):
         return False
 
-    def reinvigorate(self, observed, donors, rng):
-        return 2
+    def reinvigorate(self, observed, donors, n, rng):
+        return [2] * n
 
 
 class RecordingModel:
@@ -137,8 +137,8 @@ class RecordingModel:
     def is_terminal(self, s):
         return False
 
-    def reinvigorate(self, observed, donors, rng):
-        return observed
+    def reinvigorate(self, observed, donors, n, rng):
+        return [observed] * n
 
     def tried(self, state):
         """The actions the search stepped from ``state``, in order."""
@@ -440,11 +440,11 @@ class TestAdvanceBelief:
             particles = data.draw(st.lists(states, min_size=target, max_size=target))
         keys = [model.resimulate(p, taken, None)[1] for p in particles]
         observed = "unseen" if match == "none" else keys[0]
-        donor_lists = []
+        refills = []
 
-        def reinvigorate(obs, donors, rng):
-            donor_lists.append(donors)
-            return obs
+        def reinvigorate(obs, donors, n, rng):
+            refills.append((donors, n))
+            return [obs] * n
 
         model.reinvigorate = reinvigorate
         cfg = SolverConfig(reinvig_frac=reinvig_frac, refresh_frac=refresh_frac)
@@ -453,10 +453,11 @@ class TestAdvanceBelief:
         assert len(belief.particles) == target
         assert 0.0 <= belief.survival_rate <= 1.0
         assert belief.survival_rate == keys.count(observed) / target
-        assert donor_lists  # every refill draws at least one fresh particle
+        [(donors, n)] = refills  # one call per refill,
+        assert n >= 1  # which draws at least one fresh particle
         if observed not in keys:
-            assert len(donor_lists) == target
-            assert all(donors is particles for donors in donor_lists)
+            assert n == target
+            assert donors is particles
 
 
 def toy_model(kind):
@@ -584,6 +585,25 @@ class Unfolding:
         return s + 1, s + 1, 0.0, False
 
 
+class Survivors:
+    """Every particle survives every step unchanged, and a refill draws
+    nothing, so a refill's resampled particles name the survivors drawn."""
+
+    n_actions = 1
+
+    def resimulate(self, s, a, rng):
+        return s, 0
+
+    def obs_key_of(self, observed):
+        return observed
+
+    def is_terminal(self, s):
+        return False
+
+    def reinvigorate(self, observed, donors, n, rng):
+        return [None] * n
+
+
 class TestDraws:
     # the search inlines ``Random.choice``'s bounded draw; it must give the
     # same values and leave the same RNG state as ``choice`` and ``randrange``
@@ -610,6 +630,18 @@ class TestDraws:
         assert model.rolled == [by_choice.choice(range(n)) for _ in range(299)]
         assert model.rolled == [by_randrange.randrange(n) for _ in range(299)]
         assert rng.getstate() == by_choice.getstate() == by_randrange.getstate()
+
+    def test_survivor_resample_is_random_randrange(self):
+        # n survivors of a belief whose target is n + 201: no fresh share
+        # beyond the one particle, so 200 survivors are resampled
+        cfg = SolverConfig(reinvig_frac=0.0, refresh_frac=0.0)
+        for n in range(1, 301):
+            root = BeliefNode(1, ParticleBelief(list(range(n)), target_size=n + 201))
+            rng, by_randrange = Random(n), Random(n)
+            particles = advance_belief(root, 0, 0, Survivors(), cfg, rng).belief.particles
+            assert particles[:n] == list(range(n)) and particles[-1] is None
+            assert particles[n:-1] == [by_randrange.randrange(n) for _ in range(200)]
+            assert rng.getstate() == by_randrange.getstate()
 
     @pytest.mark.parametrize("step_seconds", [None, 0.05])
     def test_empty_belief_raises_at_once(self, step_seconds):
