@@ -28,7 +28,10 @@ MODES = ("mission", "offboard", "hybrid")
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get(OUT_ENV) or "out"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from None
     return path
 
 

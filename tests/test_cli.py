@@ -1,6 +1,9 @@
 """Command-line surface: subcommands, exit codes, reproducible outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -286,6 +289,47 @@ class TestExitCodes:
         assert code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()  # no records file, no heatmap
+
+    @staticmethod
+    def run_process(args, cwd):
+        # a fresh interpreter, so an uncaught error shows as a traceback
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        return subprocess.run([sys.executable, "-m", "skysearch.cli"] + args, cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    # id -> (arguments, the path the error must name); each ended in a raw
+    # FileExistsError, NotADirectoryError or IsADirectoryError
+    BAD_PATHS = {
+        "run_out_is_a_file": (["run", "--scenario", "l1", "--out", "afile"], "afile"),
+        "batch_out_below_a_file": (["batch", "--scenario", "l1", "--runs", "1",
+                                    "--out", "afile/sub"], "afile/sub"),
+        "scenario_is_a_directory": (["run", "--scenario", "adir", "--out", "out"], "adir"),
+        "scenario_not_utf8": (["run", "--scenario", "latin1.scn", "--out", "out"],
+                              "latin1.scn"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_PATHS)
+    def test_bad_path_exits_2_naming_it(self, tmp_path, case):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "latin1.scn").write_bytes("name = caf\xe9\n".encode("latin-1"))
+        args, named = self.BAD_PATHS[case]
+        done = self.run_process(args, tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and named in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_unreadable_scenario_exits_2(self, tmp_path, capsys):
+        scn = tmp_path / "locked.scn"
+        scn.write_text((SCENARIOS / "l1.scn").read_text())
+        scn.chmod(0)
+        if os.access(scn, os.R_OK):
+            pytest.skip("this user reads files whatever their mode")
+        code = cli.cli_main(["run", "--scenario", str(scn), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert str(scn) in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert cli.cli_main(["--help"]) == 0

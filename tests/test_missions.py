@@ -1,5 +1,6 @@
 """Flight modes: survey planning, the three run loops, determinism."""
 
+import functools
 import math
 import os
 import subprocess
@@ -323,9 +324,11 @@ def test_fuzzed_short_flights_keep_the_record_invariants(sc, seed):
             assert 0.0 <= row["survival"] <= 1.0
 
 
-def test_offboard_setup_does_not_import_numpy():
-    # the planner's cold start is paid in flight, and numpy's import alone
-    # used to be most of it; the suite itself imports numpy, hence a subprocess
+@functools.lru_cache(maxsize=None)
+def cold_setup_modules() -> frozenset[str]:
+    """The top-level modules a fresh interpreter holds after ``import
+    skysearch`` and one offboard ``build_setup``; the suite itself imports
+    numpy and statistics, hence a subprocess."""
     src = str(Path(skysearch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -333,8 +336,20 @@ def test_offboard_setup_does_not_import_numpy():
             "from skysearch.missions import build_setup\n"
             "from skysearch.world import load_scenario\n"
             "build_setup(load_scenario('l1'), 'offboard', '0:0')\n"
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n")
+            "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return frozenset(done.stdout.split())
+
+
+def test_offboard_setup_does_not_import_numpy():
+    # the planner's cold start is paid in flight, and numpy's import alone
+    # used to be most of it
+    assert "numpy" not in cold_setup_modules()
+
+
+def test_offboard_setup_does_not_import_statistics():
+    # the noise table ships as a file: computing it with ``statistics`` (which
+    # loads ``fractions`` and ``decimal``) took over half of the import
+    assert not {"statistics", "fractions", "decimal"} & cold_setup_modules()

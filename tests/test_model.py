@@ -3,8 +3,13 @@ observation generation and belief construction."""
 
 import itertools
 import math
+import re
+import sys
+from array import array
 from dataclasses import replace
+from pathlib import Path
 from random import Random
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -142,8 +147,58 @@ class TestState:
         assert hash(s) == hash(PomdpState(1.0, 2.0, 10.0, c_v=0.5))
 
 
+def reference_normal_quantiles() -> array:
+    """The 2**16 standard-normal quantiles at the cell midpoints
+    ``(i + 0.5) / 2**16``, in increasing order. The lower half comes from the
+    inverse CDF and the upper half mirrors it, so the table is exactly
+    symmetric about zero. ``model`` loads this table from its package data
+    file; on a little-endian host, ``.tobytes()`` of it is that file."""
+    n = 1 << 16
+    table = array("d", map(NormalDist().inv_cdf, ((i + 0.5) / n for i in range(n // 2))))
+    upper = table[::-1]
+    table.extend(-z for z in upper)
+    return table
+
+
+TABLE_FILE = Path(model.__file__).with_name("normal_quantiles.bin")
+
+
+def little_endian_bytes(table: array) -> bytes:
+    if sys.byteorder == "big":
+        table = array("d", table)
+        table.byteswap()
+    return table.tobytes()
+
+
 class TestNormalTable:
     """The quantile table every model noise draw reads."""
+
+    def test_matches_the_reference_generator(self):
+        want = little_endian_bytes(reference_normal_quantiles())
+        assert little_endian_bytes(model._NORMAL) == want
+        assert TABLE_FILE.read_bytes() == want
+
+    @pytest.mark.parametrize("size", [0, 8, 8 * 2 ** 16 - 1, 8 * 2 ** 16 + 8])
+    def test_wrong_size_raises_naming_the_file(self, tmp_path, size):
+        path = tmp_path / "short.bin"
+        path.write_bytes(TABLE_FILE.read_bytes()[:size].ljust(size, b"\0"))
+        with pytest.raises(RuntimeError, match=f"{re.escape(str(path))} holds {size} bytes"):
+            model._load_normal_table(str(path))
+
+    def test_missing_file_raises_naming_it(self, tmp_path):
+        path = tmp_path / "gone.bin"
+        with pytest.raises(RuntimeError, match=re.escape(str(path))):
+            model._load_normal_table(str(path))
+
+    def test_big_endian_host_swaps_the_bytes(self, tmp_path, monkeypatch):
+        # no big-endian host runs the suite: a byteswapped copy of the file
+        # read with ``sys.byteorder`` patched must give the same table
+        table = array("d", model._NORMAL)
+        table.byteswap()
+        path = tmp_path / "big.bin"
+        path.write_bytes(table.tobytes())
+        monkeypatch.setattr(sys, "byteorder", "big")
+        assert model._load_normal_table(str(path)) == model._NORMAL
 
     def test_size_order_and_symmetry(self):
         z = model._NORMAL
