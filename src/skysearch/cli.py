@@ -1,7 +1,8 @@
 """Command-line surface: single runs with full traces, seeded batches with
 metrics, three-mode comparisons, heatmap export, and footprint debugging.
 
-Exit codes: 0 success, 2 configuration/usage error.
+Exit codes: 0 success, 2 configuration/usage error or an output path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ MODES = ("mission", "offboard", "hybrid")
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get(OUT_ENV) or "out"
     path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output directory {path}: {exc.strerror}") from None
+    path.mkdir(parents=True, exist_ok=True)  # cli_main reports an OSError naming the path
     return path
 
 
@@ -244,6 +242,11 @@ def cli_main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output directory or file that cannot be written
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

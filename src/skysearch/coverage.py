@@ -4,8 +4,9 @@ Backs the footprint-overlap penalty used by the planner's reward and the
 coverage statistics used by the mission harness. Cells are binary
 seen-flags, the whole raster one Python int (standard library only, for a
 cheap cold start); once set they never clear within a run. Tree search works
-on scratch views (`snapshot`), never on the live map: a stamp replaces the
-view's int, so taking a view copies nothing.
+on a scratch copy (`snapshot`), never on the live map: the copy is another
+`CoverageMap` over the same geometry, and a stamp replaces its int, so
+resetting it to the live map is one assignment.
 
 Cost model: a read or stamp costs time in proportion to the raster's size,
 not the window's, since each `&` and `|` runs over the whole int. Every
@@ -17,6 +18,7 @@ Python 3.11).
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -67,16 +69,6 @@ def grid_shape(width: float, height: float, cell: float, what: str) -> tuple[int
 
 
 @dataclass(slots=True)
-class Snapshot:
-    """A search-time scratch view of the raster: ``cells`` starts as the live
-    map's int and each stamp replaces it. ``nbytes``, ny * ceil(nx / 8), is the
-    raster size perfbench traces."""
-
-    cells: int = field(repr=False)
-    nbytes: int
-
-
-@dataclass
 class CoverageMap:
     """Seen-flag raster covering the survey area plus ``MARGIN`` per side.
 
@@ -85,7 +77,8 @@ class CoverageMap:
     least one footprint so that stamps near the survey edge are not clipped.
     A rectangle read or stamp is one ``&`` or ``|`` of ``cells`` with a cached
     block mask shifted into place, in time proportional to the raster's size,
-    not the rectangle's.
+    not the rectangle's. Live and scratch maps are the same type: a scratch
+    map is a `snapshot` that the planner's model stamps and resets.
     """
 
     MARGIN = 10.0  # metres of raster beyond each survey edge
@@ -137,60 +130,59 @@ class CoverageMap:
                 ((1 << cols) - 1) * (((1 << rows * nx) - 1) // ((1 << nx) - 1)))
         return block << (r0 * nx + c0), rows * cols
 
-    def snapshot(self) -> Snapshot:
-        """Scratch view of the raster as it is now; copies nothing."""
-        return Snapshot(self.cells, self.ny * ((self.nx + 7) // 8))
+    def snapshot(self) -> CoverageMap:
+        """A scratch map seen as this one is now: a shallow copy that shares
+        the geometry and the block-mask cache, so stamping it leaves this map
+        unchanged."""
+        return copy.copy(self)
+
+    @property
+    def nbytes(self) -> int:
+        """Size of the raster at one bit per cell, ny * ceil(nx / 8)."""
+        return self.ny * ((self.nx + 7) // 8)
 
     # -- stamping ------------------------------------------------------
 
-    def stamp_footprint(self, fp: Footprint, scratch: Snapshot | None = None) -> None:
+    def stamp_footprint(self, fp: Footprint) -> None:
         """Set every cell whose centre lies inside the footprint.
 
-        Out-of-map portions are clipped silently. ``scratch`` lets the planner
-        stamp a private snapshot instead of the live map.
+        Out-of-map portions are clipped silently.
         """
-        target = self if scratch is None else scratch
         nx = self.nx
         for r, mask in self._quad_rows(fp):
-            target.cells |= mask << (r * nx)
+            self.cells |= mask << (r * nx)
 
-    def stamp_rect(self, x0: float, y0: float, x1: float, y1: float,
-                   scratch: Snapshot | None = None) -> None:
+    def stamp_rect(self, x0: float, y0: float, x1: float, y1: float) -> None:
         """Fast path for axis-aligned footprints (the yaw = 0 flight case)."""
-        target = self if scratch is None else scratch
-        target.cells |= self._rect_mask(x0, y0, x1, y1)[0]
+        self.cells |= self._rect_mask(x0, y0, x1, y1)[0]
 
     # -- queries -------------------------------------------------------
 
-    def overlap_fraction(self, fp: Footprint, scratch: Snapshot | None = None) -> float:
+    def overlap_fraction(self, fp: Footprint) -> float:
         """Fraction of the footprint's cells already seen (0 virgin, 1 fully
         revisited). A footprint covering zero cells counts as fully seen so
         degenerate views are never rewarded."""
-        cells = (self if scratch is None else scratch).cells
-        nx = self.nx
+        cells, nx = self.cells, self.nx
         n = seen = 0
         for r, mask in self._quad_rows(fp):
             n += mask.bit_count()
             seen += (cells & (mask << (r * nx))).bit_count()
         return seen / n if n else 1.0
 
-    def rect_overlap(self, x0: float, y0: float, x1: float, y1: float,
-                     scratch: Snapshot | None = None) -> float:
+    def rect_overlap(self, x0: float, y0: float, x1: float, y1: float) -> float:
         """`overlap_fraction` fast path for axis-aligned rectangles."""
         mask, n = self._rect_mask(x0, y0, x1, y1)
         if not n:
             return 1.0
-        return ((self if scratch is None else scratch).cells & mask).bit_count() / n
+        return (self.cells & mask).bit_count() / n
 
-    def overlap_then_stamp(self, x0: float, y0: float, x1: float, y1: float,
-                           scratch: Snapshot | None = None) -> float:
-        """`rect_overlap`, then `stamp_rect`, of ``scratch`` over one window in one pass."""
+    def overlap_then_stamp(self, x0: float, y0: float, x1: float, y1: float) -> float:
+        """`rect_overlap`, then `stamp_rect`, over one window in one pass."""
         mask, n = self._rect_mask(x0, y0, x1, y1)
         if not n:
             return 1.0
-        target = self if scratch is None else scratch
-        cells = target.cells
-        target.cells = cells | mask
+        cells = self.cells
+        self.cells = cells | mask
         return (cells & mask).bit_count() / n
 
     def coverage_ratio(self) -> float:

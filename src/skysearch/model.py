@@ -398,10 +398,11 @@ def _sample_region(region: Rect, rng: Random) -> tuple[float, float]:
 
 class GenerativeModel:
     """Bundles transition, observation and reward into the single sampler
-    the planner needs, with a coverage scratch view so imagined futures
-    never pollute the real map. The model holds one view, taken when it is
-    built: ``new_scratch`` resets it to the live map and returns it, so a
-    scratch is valid until the next ``new_scratch`` call.
+    the planner needs. The model owns its imagined coverage: one scratch
+    `CoverageMap`, a `snapshot` of the live map taken when the model is
+    built, which every live ``step`` stamps so imagined futures never
+    pollute the real map. ``new_scratch`` resets it to the live map at the
+    start of each search episode.
 
     Assumes zero yaw (no heading actions), which keeps every footprint an
     axis-aligned rectangle. ``step`` moves the pose itself, with the motion
@@ -451,18 +452,17 @@ class GenerativeModel:
         self._cell, self._conf_bin = cfg.obs_cell, cfg.conf_bin
         self._est_noise = cfg.est_noise_xy, cfg.est_noise_z
         self._pose_bits = 32 * ((2 if cfg.est_noise_xy > 0 else 0) + (cfg.est_noise_z > 0))
-        # the calls ``step`` makes through the model, and the one scratch view
+        # the calls ``step`` makes through the model, two of them on the scratch map
         self._confidence = confidence_model(cfg)
-        self._stamp_rect = self.cov_map.stamp_rect
-        self._overlap_then_stamp = self.cov_map.overlap_then_stamp
         self._scratch = self.cov_map.snapshot()
+        self._stamp_rect = self._scratch.stamp_rect
+        self._overlap_then_stamp = self._scratch.overlap_then_stamp
 
-    def new_scratch(self):
-        """The model's one scratch view, reset to the live map; the view a
-        previous call returned is reset with it."""
-        view = self._scratch
-        view.cells = self.cov_map.cells
-        return view
+    def new_scratch(self) -> CoverageMap:
+        """Reset the scratch map to the live map and return it."""
+        scratch = self._scratch
+        scratch.cells = self.cov_map.cells
+        return scratch
 
     def _observe_key(self, s2: PomdpState, a: ActionCmd, rng: Random) -> tuple:
         """Observation bin of ``generate_observation`` without building the
@@ -490,7 +490,7 @@ class GenerativeModel:
             obstacle = occ.ahead(x, y, z, dx, dy, dz)
         return floor(ox / cell), floor(oy / cell), floor(oz / cell), det, obstacle
 
-    def step(self, s: PomdpState, a: int, rng: Random, scratch, keyed: bool = True):
+    def step(self, s: PomdpState, a: int, rng: Random, keyed: bool = True):
         """Sample (next state, observation key, reward, terminal).
 
         The motion is ``transition``'s, inlined with its float operations and
@@ -498,8 +498,8 @@ class GenerativeModel:
         coverage window. A rollout (``keyed`` false) or terminal step keeps
         the key's draws but returns ``None``. Only ``reward``'s exploration
         branch reads the footprint overlap and the victim distance, so a
-        detecting step skips them. Every live step stamps ``scratch``: the
-        episode's later imagined steps read it."""
+        detecting step skips them. Every live step stamps the scratch map:
+        the episode's later imagined steps read it."""
         cfg = self.cfg
         act = _ACTIONS[a]
         x, y, z, _, _, _, vx, vy, present, _ = s
@@ -548,9 +548,9 @@ class GenerativeModel:
         eps, d_v = 0.0, d_w
         if live:
             if f_dct:
-                self._stamp_rect(x0, y0, x1, y1, scratch)
+                self._stamp_rect(x0, y0, x1, y1)
             else:
-                eps = self._overlap_then_stamp(x0, y0, x1, y1, scratch)
+                eps = self._overlap_then_stamp(x0, y0, x1, y1)
                 if present:
                     d_v = abs(x - vx) + abs(y - vy)
         r = reward(s2, act, eps, d_v, d_w, self.params, cfg)

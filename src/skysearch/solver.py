@@ -8,9 +8,9 @@ The solver is generic over any model exposing::
     n_actions: int
     gamma: float
     max_abs_reward: float
-    new_scratch() -> object passed through to step
-        (may return one reused view, valid until the next new_scratch call)
-    step(state, action, rng, scratch, keyed) -> (state2, obs_key, reward, terminal)
+    new_scratch()
+        (resets the model's imagined coverage at the start of each episode)
+    step(state, action, rng, keyed) -> (state2, obs_key, reward, terminal)
         (obs_key is None when keyed is false, as in rollouts, or terminal)
 
 Belief advancement additionally needs ``resimulate``, ``obs_key_of``,
@@ -106,7 +106,7 @@ def _return_bound(model, cfg: SolverConfig) -> float:
     return model.max_abs_reward * (1.0 - g ** cfg.max_depth) / (1.0 - g)
 
 
-def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) -> float:
+def _rollout(state, depth: int, model, cfg: SolverConfig, rng: Random) -> float:
     total = 0.0
     disc = 1.0
     step, bits, gamma, n_actions = model.step, rng.getrandbits, model.gamma, model.n_actions
@@ -115,7 +115,7 @@ def _rollout(state, depth: int, model, cfg: SolverConfig, scratch, rng: Random) 
         a = bits(k)  # ``rng.choice(range(n_actions))``'s draw, inlined
         while a >= n_actions:
             a = bits(k)
-        state, _, r, terminal = step(state, a, rng, scratch, False)
+        state, _, r, terminal = step(state, a, rng, False)
         total += disc * r
         if terminal:
             break
@@ -156,8 +156,8 @@ def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
         i = bits(k)  # ``rng.choice(particles)``'s draw, inlined
         while i >= n_particles:
             i = bits(k)
-        state, scratch = particles[i], new_scratch()
-        node, depth, path, total = root, 0, [], 0.0
+        new_scratch()
+        state, node, depth, path, total = particles[i], root, 0, [], 0.0
         while True:
             edges, n = node.edges, node.n_visits
             if depth and n < n_actions:  # below the root, tried once each in index order
@@ -174,7 +174,7 @@ def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
                     if u > best:
                         best = u
                         action = a
-            state, key, r, terminal = step(state, action, rng, scratch)
+            state, key, r, terminal = step(state, action, rng)
             edge = edges[action]
             if edge is None:
                 edge = edges[action] = _Edge()
@@ -185,7 +185,7 @@ def _search(root: BeliefNode, model, cfg: SolverConfig, episodes: int,
             child = edge.children.get(key)
             if child is None:
                 edge.children[key] = BeliefNode(n_actions)
-                total = _rollout(state, depth, model, cfg, scratch, rng)
+                total = _rollout(state, depth, model, cfg, rng)
                 break
             if depth >= max_depth:
                 break

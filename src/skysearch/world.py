@@ -293,7 +293,8 @@ _KEYS = {"name": ("scenario", "name", str), "seed": ("scenario", "seed", int),
 
 
 def load_scenario(name_or_path: str | Path) -> Scenario:
-    """Load a scenario by built-in name (``l1``, ``l2``) or file path.
+    """Load a scenario by built-in name (``l1``, ``l2``) or file path. A
+    built-in name loads the built-in unless a file of that name exists.
 
     The only place scenario text becomes values: every key is checked
     against the schema above and converted by its field's declared type.
@@ -301,13 +302,12 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     value raises ``ConfigError`` naming the file and the key.
     """
     path = Path(name_or_path)
-    if not path.exists():
-        candidate = _SCENARIO_DIR / f"{name_or_path}.scn"
-        if candidate.exists():
-            path = candidate
-        else:
-            raise ConfigError(f"no scenario named {name_or_path!r} "
-                              f"(built-ins: {', '.join(builtin_scenarios())})")
+    known = builtin_scenarios()
+    if not path.is_file() and str(name_or_path) in known:
+        path = _SCENARIO_DIR / f"{name_or_path}.scn"
+    elif not path.exists():
+        raise ConfigError(f"no scenario named {name_or_path!r} "
+                          f"(built-ins: {', '.join(known)})")
     tables: dict[str, list[tuple[float, ...]]] = {}
     values = {"scenario": {"name": path.stem}, "model": {}, "solver": {}, "detector": {}}
     for key, rows in parse_kv_file(path).items():

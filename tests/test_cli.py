@@ -305,6 +305,12 @@ class TestExitCodes:
         "run_out_is_a_file": (["run", "--scenario", "l1", "--out", "afile"], "afile"),
         "batch_out_below_a_file": (["batch", "--scenario", "l1", "--runs", "1",
                                     "--out", "afile/sub"], "afile/sub"),
+        # the output files themselves, written after the flights
+        "run_record_is_a_directory": (["run", "--scenario", "l1", "--mode", "mission",
+                                       "--seed", "1", "--out", "full"], "full/record.json"),
+        "batch_records_is_a_directory": (["batch", "--scenario", "l1", "--mode", "mission",
+                                          "--runs", "1", "--out", "full"],
+                                         "full/records_mission.jsonl"),
         "scenario_is_a_directory": (["run", "--scenario", "adir", "--out", "out"], "adir"),
         "scenario_not_utf8": (["run", "--scenario", "latin1.scn", "--out", "out"],
                               "latin1.scn"),
@@ -314,6 +320,8 @@ class TestExitCodes:
     def test_bad_path_exits_2_naming_it(self, tmp_path, case):
         (tmp_path / "afile").write_text("")
         (tmp_path / "adir").mkdir()
+        for name in ("record.json", "records_mission.jsonl"):
+            (tmp_path / "full" / name).mkdir(parents=True)
         (tmp_path / "latin1.scn").write_bytes("name = caf\xe9\n".encode("latin-1"))
         args, named = self.BAD_PATHS[case]
         done = self.run_process(args, tmp_path)

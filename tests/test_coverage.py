@@ -131,9 +131,10 @@ class TestOverlapFraction:
         cov = fresh_map()
         fp = fp_at(30.0, 3.0)
         scratch = cov.snapshot()
-        cov.stamp_footprint(fp, scratch)
-        assert cov.overlap_fraction(fp, scratch) == 1.0
+        scratch.stamp_footprint(fp)
+        assert scratch.overlap_fraction(fp) == 1.0
         assert cov.overlap_fraction(fp) == 0.0  # the live map never saw it
+        assert scratch._blocks is cov._blocks  # one block-mask cache for both
 
 
 class TestCoverageRatio:
@@ -231,20 +232,20 @@ class TestAgainstCellCentreOracle:
                 scratch, mine = cov.snapshot(), set(live)
                 assert scratch.nbytes == cov.ny * math.ceil(cov.nx / 8)
             else:
-                cells, seen = (scratch, mine) if on_scratch else (None, live)
+                target, seen = (scratch, mine) if on_scratch else (cov, live)
                 if kind == "box":
                     under = self.rect_cells(cov, *shape)
-                    assert cov.rect_overlap(*shape, cells) == self.fraction(seen, under, 1.0)
-                    cov.stamp_rect(*shape, cells)
+                    assert target.rect_overlap(*shape) == self.fraction(seen, under, 1.0)
+                    target.stamp_rect(*shape)
                 elif kind == "fused":
                     under = self.rect_cells(cov, *shape)
-                    eps = cov.overlap_then_stamp(*shape, cells)
+                    eps = target.overlap_then_stamp(*shape)
                     assert eps == self.fraction(seen, under, 1.0)
                 else:
                     under = (self.quad_cells(cov, shape) if kind == "yawed"
                              else self.rect_cells(cov, *shape.bbox()))
-                    assert cov.overlap_fraction(shape, cells) == self.fraction(seen, under, 1.0)
-                    cov.stamp_footprint(shape, cells)
+                    assert target.overlap_fraction(shape) == self.fraction(seen, under, 1.0)
+                    target.stamp_footprint(shape)
                 seen |= under
             after = self.as_set(cov, cov.cells)
             assert before <= after  # cells never clear

@@ -1,6 +1,7 @@
 """POMDP model: reward transcription, confidence curves, transition,
 observation generation and belief construction."""
 
+import copy
 import itertools
 import math
 import re
@@ -345,16 +346,16 @@ class TestObservation:
         s = PomdpState(x, y, z, victim_x=x if victim_in_view else x + 100.0, victim_y=y,
                        victim_present=True)
         skipped, keyed = Random(seed), Random(seed)
-        model.step(s, a, skipped, model.new_scratch(), False)
+        model.step(s, a, skipped, False)
         model._observe_key(transition(s, a, cfg, CAM, L1_GRID, keyed), a, keyed)
         assert skipped.getstate() == keyed.getstate()
 
 
-def reference_step(s, a, cfg, cov, scratch, rng, keyed=True):
+def reference_step(s, a, cfg, scratch, rng, keyed=True):
     """``GenerativeModel.step`` composed from the reference pieces:
     transition, the full observation and its key (always drawn, reported
     only on a keyed step that does not end the episode), the footprint
-    overlap and stamp, then the reward."""
+    overlap and stamp on ``scratch``, then the reward."""
     act = ActionCmd(a)
     s2 = transition(s, act, cfg, CAM, L1_GRID, rng)
     key = obs_key(generate_observation(s2, act, CAM, cfg, L1_GRID, rng), cfg)
@@ -364,8 +365,8 @@ def reference_step(s, a, cfg, cov, scratch, rng, keyed=True):
     eps, d_v = 0.0, cfg.d_w()
     if not (s2.f_crash or s2.f_roi):
         fp = footprint_corners_world(EnuPoint(s2.x, s2.y, s2.z), 0.0, CAM)
-        eps = cov.overlap_fraction(fp, scratch)
-        cov.stamp_footprint(fp, scratch)
+        eps = scratch.overlap_fraction(fp)
+        scratch.stamp_footprint(fp)
         if s2.victim_present:
             d_v = abs(s2.x - s2.victim_x) + abs(s2.y - s2.victim_y)
     r = reward(s2, act, eps, d_v, cfg.d_w(), RP, cfg)
@@ -391,17 +392,18 @@ class TestGenerativeStep:
         return "detect" if s.f_dct else ("absent" if not s.victim_present else "miss")
 
     def test_new_scratch_resets_its_view_to_the_live_map(self):
-        # the model keeps one scratch view; each call resets it, so a stamp
-        # made through one episode's scratch is gone in the next episode's
+        # the model keeps one scratch map; each call resets it, so a stamp
+        # made in one episode is gone in the next episode
         cov = CoverageMap(CFG.survey, cell_size=CFG.obs_cell)
         cov.stamp_rect(10.0, 1.0, 14.0, 5.0)
         model = GenerativeModel(CFG, RP, CAM, cov_map=cov)
         first = model.new_scratch()
-        cov.stamp_rect(40.0, 1.0, 44.0, 5.0, first)
+        first.stamp_rect(40.0, 1.0, 44.0, 5.0)
         assert first.cells != cov.cells
+        assert cov.rect_overlap(40.0, 1.0, 44.0, 5.0) == 0.0
         second = model.new_scratch()
         assert second.cells == cov.cells
-        assert cov.rect_overlap(40.0, 1.0, 44.0, 5.0, second) == 0.0
+        assert second.rect_overlap(40.0, 1.0, 44.0, 5.0) == 0.0
         cov.stamp_rect(20.0, 1.0, 24.0, 5.0)  # the live map moves on between plans
         assert model.new_scratch().cells == cov.cells
 
@@ -419,8 +421,8 @@ class TestGenerativeStep:
             fast, ref = model.new_scratch(), cov.snapshot()
             s = self.STARTS[kind]
             for _ in range(2):  # the second step overlaps the first stamp
-                got = model.step(s, a, fast_rng, fast, keyed)
-                assert got == reference_step(s, a, cfg, cov, ref, ref_rng, keyed)
+                got = model.step(s, a, fast_rng, keyed)
+                assert got == reference_step(s, a, cfg, ref, ref_rng, keyed)
                 assert fast == ref
                 assert (got[1] is None) == (not keyed or got[3])
                 reached.add(self.branch(got[0]))
@@ -442,19 +444,18 @@ class TestGenerativeStep:
                                                 (True, False)):
             fast, ref = model.new_scratch(), cov.snapshot()
             for scratch in (fast, ref):  # the left half of the start view
-                cov.stamp_rect(s.x - 2.0, s.y - 2.0, s.x, s.y + 2.0, scratch)
-            before = replace(fast)
+                scratch.stamp_rect(s.x - 2.0, s.y - 2.0, s.x, s.y + 2.0)
+            before = copy.copy(fast)
             fast_rng, ref_rng = Random(seed), Random(seed)
-            got = model.step(s, a, fast_rng, fast, keyed)
-            assert got == reference_step(s, a, cfg, cov, ref, ref_rng, keyed)
+            got = model.step(s, a, fast_rng, keyed)
+            assert got == reference_step(s, a, cfg, ref, ref_rng, keyed)
             assert fast == ref
             assert fast_rng.getstate() == ref_rng.getstate()
             s2 = got[0]
             if s2.f_dct:
                 l_top, l_bottom, l_left, l_right = footprint_extent(s2.z, CAM)
-                seen_before += cov.rect_overlap(s2.x + l_left, s2.y + l_bottom,
-                                                s2.x + l_right, s2.y + l_top,
-                                                before) > 0.0
+                seen_before += before.rect_overlap(s2.x + l_left, s2.y + l_bottom,
+                                                   s2.x + l_right, s2.y + l_top) > 0.0
         assert seen_before > 0
 
     # poses over and around l1's 5 m tree and 1.5 m box, and along each
@@ -500,10 +501,10 @@ class TestGenerativeStep:
         if stamp is not None:  # part of the ground round the pose already seen
             x0, y0 = s.x + stamp[0], s.y + stamp[1]
             for scratch in (fast, ref):
-                cov.stamp_rect(x0, y0, x0 + stamp[2], y0 + stamp[3], scratch)
+                scratch.stamp_rect(x0, y0, x0 + stamp[2], y0 + stamp[3])
         fast_rng, ref_rng = Random(seed), Random(seed)
-        got = model.step(s, a, fast_rng, fast, keyed)
-        assert got == reference_step(s, a, cfg, cov, ref, ref_rng, keyed)
+        got = model.step(s, a, fast_rng, keyed)
+        assert got == reference_step(s, a, cfg, ref, ref_rng, keyed)
         assert fast == ref
         assert fast_rng.getstate() == ref_rng.getstate()
 
@@ -517,7 +518,7 @@ class TestGenerativeStep:
         s = self.drawn_start(pose, victim)
         belief_rng, search_rng = Random(seed), Random(seed)
         s2, key = model.resimulate(s, a, belief_rng)
-        t2, t_key, _, terminal = model.step(s, a, search_rng, model.new_scratch(), True)
+        t2, t_key, _, terminal = model.step(s, a, search_rng, True)
         assert s2 == t2
         if not terminal:
             assert key == t_key

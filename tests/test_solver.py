@@ -38,7 +38,7 @@ class ChainModel:
     def new_scratch(self):
         return None
 
-    def step(self, s, a, rng, scratch, keyed=True):
+    def step(self, s, a, rng, keyed=True):
         if a == self.LEFT:
             s2 = max(0, s - 1)
         elif a == self.RIGHT:
@@ -50,7 +50,7 @@ class ChainModel:
         return s2, s2, -1.0 * self.scale, False
 
     def resimulate(self, s, a, rng):
-        s2, key, _, _ = self.step(s, a, rng, None)
+        s2, key, _, _ = self.step(s, a, rng)
         return s2, key
 
     def obs_key_of(self, observed):
@@ -72,7 +72,7 @@ class ChainModel:
             for s in range(5):
                 qs = []
                 for a in range(3):
-                    s2, _, r, term = self.step(s, a, None, None)
+                    s2, _, r, term = self.step(s, a, None)
                     qs.append(r + (0.0 if term else self.gamma * v[s2]))
                 nbest[s] = max(range(3), key=lambda a: qs[a])
                 nv[s] = qs[nbest[s]]
@@ -92,7 +92,7 @@ class BanditModel:
     def new_scratch(self):
         return None
 
-    def step(self, s, a, rng, scratch, keyed=True):
+    def step(self, s, a, rng, keyed=True):
         return s, 0, self.MEANS[a] + rng.gauss(0.0, 0.5), True
 
     def resimulate(self, s, a, rng):
@@ -123,7 +123,7 @@ class RecordingModel:
     def new_scratch(self):
         return None
 
-    def step(self, s, a, rng, scratch, keyed=True):
+    def step(self, s, a, rng, keyed=True):
         self.calls.append((s, a))
         s2 = s + (a,)
         return s2, s2, rng.random() * (a + 1) / self.n_actions, False
@@ -158,7 +158,7 @@ def allowed_masks(n_actions):
 # The recursive search that ``solver._search``'s loop replaced, kept as the
 # reference the loop must match draw for draw and statistic for statistic.
 
-def reference_simulate(node, state, depth, model, cfg, scratch, rng, allowed=None):
+def reference_simulate(node, state, depth, model, cfg, rng, allowed=None):
     if depth >= cfg.max_depth:
         return 0.0
     # pick the first untried action, else UCB1
@@ -183,7 +183,7 @@ def reference_simulate(node, state, depth, model, cfg, scratch, rng, allowed=Non
             if u > best:
                 best = u
                 action = a
-    state2, key, r, terminal = model.step(state, action, rng, scratch)
+    state2, key, r, terminal = model.step(state, action, rng)
     edge = edges[action]
     if edge is None:
         edge = edges[action] = solver._Edge()
@@ -193,23 +193,22 @@ def reference_simulate(node, state, depth, model, cfg, scratch, rng, allowed=Non
         child = edge.children.get(key)
         if child is None:
             edge.children[key] = BeliefNode(model.n_actions)
-            total = r + model.gamma * reference_rollout(state2, depth + 1, model, cfg,
-                                                        scratch, rng)
+            total = r + model.gamma * reference_rollout(state2, depth + 1, model, cfg, rng)
         else:
             total = r + model.gamma * reference_simulate(child, state2, depth + 1, model,
-                                                         cfg, scratch, rng)
+                                                         cfg, rng)
     node.n_visits += 1
     edge.n += 1
     edge.q += (total - edge.q) / edge.n
     return total
 
 
-def reference_rollout(state, depth, model, cfg, scratch, rng):
+def reference_rollout(state, depth, model, cfg, rng):
     total = 0.0
     disc = 1.0
     for _ in range(depth, cfg.max_depth):
         state, _, r, terminal = model.step(state, rng.choice(range(model.n_actions)), rng,
-                                           scratch, False)
+                                           False)
         total += disc * r
         if terminal:
             break
@@ -222,8 +221,8 @@ def reference_search(root, model, cfg, episodes, rng, allowed=None):
     bound = solver._return_bound(model, cfg) + 1e-9
     for _ in range(episodes):
         state = rng.choice(root.belief.particles)
-        total = reference_simulate(root, state, 0, model, cfg, model.new_scratch(), rng,
-                                   allowed)
+        model.new_scratch()
+        total = reference_simulate(root, state, 0, model, cfg, rng, allowed)
         assert abs(total) <= bound
 
 
@@ -271,7 +270,7 @@ class TestPlanStep:
         class Flat(BanditModel):
             MEANS = (1.0, 1.0, 1.0)
 
-            def step(self, s, a, rng, scratch, keyed=True):
+            def step(self, s, a, rng, keyed=True):
                 return s, 0, 1.0, True
 
         flat = Flat()
@@ -559,7 +558,7 @@ class FirstStates:
     def new_scratch(self):
         return None
 
-    def step(self, s, a, rng, scratch, keyed=True):
+    def step(self, s, a, rng, keyed=True):
         self.states.append(s)
         return s, 0, 0.0, True
 
@@ -579,7 +578,7 @@ class Unfolding:
     def new_scratch(self):
         return None
 
-    def step(self, s, a, rng, scratch, keyed=True):
+    def step(self, s, a, rng, keyed=True):
         if not keyed:
             self.rolled.append(a)
         return s + 1, s + 1, 0.0, False

@@ -207,6 +207,14 @@ class TestScenarios:
         assert prof.near_range == pytest.approx(9.5)
         assert prof.far_range == pytest.approx(18.5)
 
+    def test_a_builtin_name_loads_a_file_of_that_name_not_a_directory(self, tmp_path,
+                                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "l1").write_text("survey = 0 0 20 10\nvictim = 5 5 0\n")
+        assert load_scenario("l1").cfg.survey.width == 20.0
+        (tmp_path / "l2").mkdir()  # e.g. an earlier ``run --out l2``: not a scenario file
+        assert load_scenario("l2").truth.victims[0][2] == pytest.approx(0.5)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
             load_scenario("nowhere")
