@@ -1,24 +1,26 @@
 """Command-line surface: single runs with full traces, seeded batches with
-metrics, three-mode comparisons, heatmap export, and footprint debugging.
+metrics, three-mode comparisons (a batch per mode), heatmaps, footprints.
 
 Exit codes: 0 success, 2 configuration/usage error or an output path that
-cannot be written.
+cannot be written; a command that cannot write one of its files leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .configio import ConfigError
 from .coverage import Rect
 from .geometry import CameraIntrinsics, EnuPoint, footprint_corners_world, footprint_extent
-from .metrics import (compute_metrics, export_heatmap, heatmap_shape, metrics_table,
-                      write_heatmap_csv, write_heatmap_pgm, write_metrics_csv)
+from .metrics import (compute_metrics, export_heatmap, heatmap_csv, heatmap_pgm, heatmap_shape,
+                      metrics_csv, metrics_table)
 from .missions import RunRecord, build_setup, execute_run
 from .world import Scenario, builtin_scenarios, load_scenario
 
@@ -27,8 +29,7 @@ MODES = ("mission", "offboard", "hybrid")
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV) or "out"
-    path = Path(out)
+    path = Path(args.out or os.environ.get(OUT_ENV) or "out")
     path.mkdir(parents=True, exist_ok=True)  # cli_main reports an OSError naming the path
     return path
 
@@ -57,43 +58,53 @@ def run_batch(scenario: Scenario, mode: str, runs: int, seed: int, *,
     return [execute_run(s) for s in setups]
 
 
-def write_records(path, records: list[RunRecord]) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+def records_jsonl(records: list[RunRecord]) -> Iterator[str]:
+    for rec in records:
+        yield json.dumps(rec.to_dict(), sort_keys=True) + "\n"
 
 
-def write_trajectory_csv(path, rec: RunRecord) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,x,y,z\n")
-        for t, x, y, z in rec.trajectory:
-            fh.write(f"{t:.3f},{x:.6f},{y:.6f},{z:.6f}\n")
+def trajectory_csv(rec: RunRecord) -> Iterator[str]:
+    yield "t,x,y,z\n"
+    for t, x, y, z in rec.trajectory:
+        yield f"{t:.3f},{x:.6f},{y:.6f},{z:.6f}\n"
 
 
-def write_solver_trace_csv(path, rec: RunRecord) -> None:
+def solver_trace_csv(rec: RunRecord) -> Iterator[str]:
     from .model import ActionCmd
-    names = [a.name for a in ActionCmd]
-    with open(path, "w") as fh:
-        fh.write("t,action,particles,episodes,survival,"
-                 + ",".join(f"q_{n}" for n in names) + "\n")
-        for row in rec.solver_trace:
-            qs = ",".join("" if q is None else f"{q:.3f}" for q in row["q"])
-            fh.write(f"{row['t']:.3f},{row['action']},{row['particles']},"
-                     f"{row['episodes']},{row['survival']:.4f},{qs}\n")
+    yield ("t,action,particles,episodes,survival,"
+           + ",".join(f"q_{a.name}" for a in ActionCmd) + "\n")
+    for row in rec.solver_trace:
+        qs = ",".join("" if q is None else f"{q:.3f}" for q in row["q"])
+        yield (f"{row['t']:.3f},{row['action']},{row['particles']},"
+               f"{row['episodes']},{row['survival']:.4f},{qs}\n")
+
+
+def _write(out: Path, files: dict[str, Iterable[str]]) -> None:
+    """Write each ``name -> lines`` under ``out`` in order, all or none: on
+    any error the files this call opened are removed and the error re-raised."""
+    opened = []
+    try:
+        for name, lines in files.items():
+            with open(out / name, "w") as fh:
+                opened.append(out / name)
+                fh.writelines(lines)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):  # keep the original error
+                path.unlink()
+        raise
 
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
-    setup = build_setup(scenario, args.mode, scenario.seed)
-    rec = execute_run(setup)
-    write_trajectory_csv(out / "trajectory.csv", rec)
-    with open(out / "record.json", "w") as fh:
-        json.dump(rec.to_dict(), fh, sort_keys=True, indent=1)
+    rec = execute_run(build_setup(scenario, args.mode, scenario.seed))
+    files = {"trajectory.csv": trajectory_csv(rec),
+             "record.json": [json.dumps(rec.to_dict(), sort_keys=True, indent=1)]}
     if rec.solver_trace:
-        write_solver_trace_csv(out / "solver_trace.csv", rec)
+        files["solver_trace.csv"] = solver_trace_csv(rec)
     m = compute_metrics([rec], scenario.truth.victims, args.tolerance)
-    write_metrics_csv(out / "metrics.csv", [m])
+    _write(out, {**files, "metrics.csv": metrics_csv([m])})
     print(f"{rec.mode} run seed={rec.seed}: {rec.outcome} in {rec.elapsed_s:.0f} s, "
           f"{len(rec.recorded)} coordinate(s) recorded, coverage {rec.coverage:.2f}")
     print(metrics_table([m]))
@@ -103,25 +114,12 @@ def _cmd_run(args) -> int:
 def _cmd_batch(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
-    records = run_batch(scenario, args.mode, args.runs, scenario.seed,
-                        workers=args.workers)
-    write_records(out / f"records_{args.mode}.jsonl", records)
-    m = compute_metrics(records, scenario.truth.victims, args.tolerance)
-    write_metrics_csv(out / "metrics.csv", [m])
-    print(metrics_table([m]))
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
-    rows = []
-    for mode in MODES:
-        records = run_batch(scenario, mode, args.runs, scenario.seed,
-                            workers=args.workers)
-        write_records(out / f"records_{mode}.jsonl", records)
-        rows.append(compute_metrics(records, scenario.truth.victims, args.tolerance))
-    write_metrics_csv(out / "metrics.csv", rows)
+    batches = {mode: run_batch(scenario, mode, args.runs, scenario.seed, workers=args.workers)
+               for mode in ((args.mode,) if args.mode else MODES)}
+    rows = [compute_metrics(records, scenario.truth.victims, args.tolerance)
+            for records in batches.values()]
+    files = {f"records_{mode}.jsonl": records_jsonl(records) for mode, records in batches.items()}
+    _write(out, {**files, "metrics.csv": metrics_csv(rows)})
     print(metrics_table(rows))
     return 0
 
@@ -138,10 +136,10 @@ def _cmd_heatmap(args) -> int:
     out = _out_dir(args)
     records = run_batch(scenario, args.mode, args.runs, scenario.seed,
                         workers=args.workers)
-    write_records(out / f"records_{args.mode}.jsonl", records)
     counts, xs, ys = export_heatmap(records, bounds, cell=args.cell)
-    write_heatmap_csv(out / f"heatmap_{args.mode}.csv", counts, xs, ys)
-    write_heatmap_pgm(out / f"heatmap_{args.mode}.pgm", counts)
+    _write(out, {f"records_{args.mode}.jsonl": records_jsonl(records),
+                 f"heatmap_{args.mode}.csv": heatmap_csv(counts, xs, ys),
+                 f"heatmap_{args.mode}.pgm": heatmap_pgm(counts)})
     print(f"heatmap over {sum(map(sum, counts))} recorded coordinate(s) "
           f"written to {out / f'heatmap_{args.mode}.csv'}")
     return 0
@@ -213,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="mission vs offboard vs hybrid side by side")
     _add_common(p, with_mode=False)
     _add_batch(p)
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_batch, mode=None)  # no --mode: a batch of each mode
 
     p = sub.add_parser("heatmap", help="batch plus a 2D histogram of recorded coordinates")
     _add_common(p)

@@ -10,7 +10,8 @@ run can be both a TP and an FP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 
 from .coverage import Rect, grid_shape
 from .missions import RunRecord
@@ -86,12 +87,11 @@ def metrics_table(rows: list[Metrics]) -> str:
     return "\n".join(lines)
 
 
-def write_metrics_csv(path, rows: list[Metrics]) -> None:
-    with open(path, "w") as fh:
-        fh.write("mode,runs,tp_pct,fp_pct,fn_pct,time_mean_s,time_sd_s,time_se_s,n_timed\n")
-        for m in rows:
-            fh.write(f"{m.mode},{m.runs},{m.tp_pct:.6f},{m.fp_pct:.6f},{m.fn_pct:.6f},"
-                     f"{m.time_mean_s:.6f},{m.time_sd_s:.6f},{m.time_se_s:.6f},{m.n_timed}\n")
+def metrics_csv(rows: list[Metrics]) -> Iterator[str]:
+    yield ",".join(f.name for f in fields(Metrics)) + "\n"
+    for m in rows:
+        yield ",".join(f"{getattr(m, f.name):.6f}" if f.type == "float"
+                       else str(getattr(m, f.name)) for f in fields(Metrics)) + "\n"
 
 
 def heatmap_shape(bounds: Rect, cell: float) -> tuple[int, int]:
@@ -124,18 +124,16 @@ def export_heatmap(records: list[RunRecord], bounds: Rect, cell: float = 1.0
     return counts, xs, ys
 
 
-def write_heatmap_csv(path, counts: list[list[int]], xs: list[float], ys: list[float]) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,y,count\n")
-        for y, row in zip(ys, counts):
-            for x, n in zip(xs, row):
-                fh.write(f"{x:.3f},{y:.3f},{n}\n")
+def heatmap_csv(counts: list[list[int]], xs: list[float], ys: list[float]) -> Iterator[str]:
+    yield "x,y,count\n"
+    for y, row in zip(ys, counts):
+        for x, n in zip(xs, row):
+            yield f"{x:.3f},{y:.3f},{n}\n"
 
 
-def write_heatmap_pgm(path, counts: list[list[int]]) -> None:
+def heatmap_pgm(counts: list[list[int]]) -> Iterator[str]:
     peak = max((n for row in counts for n in row), default=0)
     scale = 255.0 / peak if peak else 0.0
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{len(counts[0])} {len(counts)}\n255\n")
-        for row in reversed(counts):
-            fh.write(" ".join(str(int(n * scale)) for n in row) + "\n")
+    yield f"P2\n{len(counts[0])} {len(counts)}\n255\n"
+    for row in reversed(counts):
+        yield " ".join(str(int(n * scale)) for n in row) + "\n"

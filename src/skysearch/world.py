@@ -276,13 +276,19 @@ def _bool(token: str) -> bool:
     return low in ("true", "yes", "on")
 
 
+def _finite(token: str) -> float:
+    if not math.isfinite(value := float(token)):
+        raise ValueError(f"expected a finite number, got {token!r}")
+    return value
+
+
 # the scenario file schema. Table rows: key -> tokens per row, each a finite
 # float; repeated rows are a list, and for survey and wind the last row wins.
 _TABLES = {"survey": 4, "victim": 3, "distractor": 3, "obstacle": 6, "wind": 2}
 # single-token keys: key -> (section, field, converter). Model and solver
 # fields go by name, detector fields with a ``detector_`` prefix; a field
 # whose declared type has no converter (``survey``, ``modality``) is no key.
-_CONVERT = {"bool": _bool, "int": int, "float": float, "float | None": float}
+_CONVERT = {"bool": _bool, "int": int, "float": _finite, "float | None": _finite}
 _KEYS = {"name": ("scenario", "name", str), "seed": ("scenario", "seed", int),
          "modality": ("scenario", "modality", str),
          **{prefix + f.name: (section, f.name, _CONVERT[f.type])
@@ -319,9 +325,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
                 if len(row) != want:
                     raise ValueError(f"expected {want} value(s), got {len(row)}")
             if key in _TABLES:
-                tables[key] = [tuple(map(float, row)) for row in rows]
-                if not all(map(math.isfinite, sum(tables[key], ()))):
-                    raise ValueError("expected finite numbers")
+                tables[key] = [tuple(map(_finite, row)) for row in rows]
             else:
                 section, name, convert = _KEYS[key]
                 for (token,) in rows:  # a repeated key: the last row wins

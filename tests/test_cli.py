@@ -151,6 +151,26 @@ class TestBatchAndCompare:
         assert (tmp_path / "heatmap_mission.pgm").exists()
 
 
+class TestWrite:
+    @staticmethod
+    def broken():
+        yield "half a file\n"
+        raise RuntimeError("render failed")
+
+    def test_a_failed_write_removes_the_files_of_that_call_only(self, tmp_path):
+        (tmp_path / "earlier.csv").write_text("kept\n")
+        with pytest.raises(RuntimeError, match="render failed"):
+            cli._write(tmp_path, {"a.csv": ["a\n"], "b.csv": self.broken(), "c.csv": ["c\n"]})
+        assert [p.name for p in tmp_path.iterdir()] == ["earlier.csv"]
+
+    def test_a_failed_clean_up_keeps_the_original_error(self, tmp_path, monkeypatch):
+        def unlink(path, missing_ok=False):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(Path, "unlink", unlink)
+        with pytest.raises(RuntimeError, match="render failed"):
+            cli._write(tmp_path, {"a.csv": ["a\n"], "b.csv": self.broken()})
+
+
 class TestFootprintCommand:
     def test_prints_dimensions(self, capsys):
         assert cli.cli_main(["footprint", "--z", "16"]) == 0
@@ -311,6 +331,13 @@ class TestExitCodes:
         "batch_records_is_a_directory": (["batch", "--scenario", "l1", "--mode", "mission",
                                           "--runs", "1", "--out", "full"],
                                          "full/records_mission.jsonl"),
+        # a later file in the way: the files written before it must not stay behind
+        "batch_metrics_is_a_directory": (["batch", "--scenario", "l1", "--mode", "mission",
+                                          "--runs", "1", "--out", "late"],
+                                         "late/metrics.csv"),
+        "compare_offboard_is_a_directory": (["compare", "--scenario", "l1", "--runs", "1",
+                                             "--out", "late"],
+                                            "late/records_offboard.jsonl"),
         "scenario_is_a_directory": (["run", "--scenario", "adir", "--out", "out"], "adir"),
         "scenario_not_utf8": (["run", "--scenario", "latin1.scn", "--out", "out"],
                               "latin1.scn"),
@@ -320,13 +347,30 @@ class TestExitCodes:
     def test_bad_path_exits_2_naming_it(self, tmp_path, case):
         (tmp_path / "afile").write_text("")
         (tmp_path / "adir").mkdir()
-        for name in ("record.json", "records_mission.jsonl"):
-            (tmp_path / "full" / name).mkdir(parents=True)
+        for name in ("full/record.json", "full/records_mission.jsonl", "late/metrics.csv",
+                     "late/records_offboard.jsonl"):
+            (tmp_path / name).mkdir(parents=True)
         (tmp_path / "latin1.scn").write_bytes("name = caf\xe9\n".encode("latin-1"))
+        made = sorted(tmp_path.rglob("*"))
         args, named = self.BAD_PATHS[case]
         done = self.run_process(args, tmp_path)
         assert done.returncode == 2
         assert done.stderr.startswith("error:") and named in done.stderr
+        assert "Traceback" not in done.stderr
+        assert sorted(tmp_path.rglob("*")) == made  # no partial run left behind
+
+    # each loaded; the offboard run ended in an OverflowError traceback, the
+    # hybrid one in an AssertionError, the missions exited 0 with nonsense
+    @pytest.mark.parametrize("mode, line", [("offboard", "move_noise_xy = inf"),
+                                            ("hybrid", "detector_sigma_loc = nan"),
+                                            ("mission", "dt = inf"),
+                                            ("mission", "speed = inf")])
+    def test_non_finite_scenario_float_exits_2(self, tmp_path, mode, line):
+        (tmp_path / "bad.scn").write_text((SCENARIOS / "l1.scn").read_text() + line + "\n")
+        done = self.run_process(["run", "--scenario", "bad.scn", "--mode", mode,
+                                 "--seed", "1", "--out", "out"], tmp_path)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: bad.scn: " + line.partition(" ")[0])
         assert "Traceback" not in done.stderr
 
     def test_unreadable_scenario_exits_2(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Seeded outputs pinned across commits.
 
-Each case runs ``skysearch run`` at a fixed seed and compares the sha256 of
-``record.json``, ``trajectory.csv`` and ``solver_trace.csv`` with values
-captured before the three flight loops were merged into one flight object.
+Each ``run`` case runs ``skysearch run`` at a fixed seed and compares the
+sha256 of ``record.json``, ``trajectory.csv`` and ``solver_trace.csv`` with
+values captured before the three flight loops were merged into one flight
+object. The batch cases pin every file that ``batch``, ``compare`` and
+``heatmap`` write, captured before the commands shared one output writer.
 The cases cover both built-in scenarios in all three modes, including hybrid
 flights that inspect and confirm and offboard flights that confirm. A pure
 refactor must keep every hash. A change that deliberately alters the random
@@ -69,3 +71,34 @@ def test_seeded_outputs_unchanged(tmp_path, capsys, scenario, mode, seed, outcom
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 if (tmp_path / name).exists() else None for name in FILES)
     assert dict(zip(FILES, got)) == dict(zip(FILES, hashes))
+
+
+# (command line, {file: sha256}); the files must be exactly the ones written
+BATCH_CASES = [
+    (["batch", "--scenario", "l1", "--mode", "offboard", "--runs", "2", "--seed", "4"], {
+        "metrics.csv": "67199417c58f844eb96fe9544a6e01f25858230fdbfb7f849f509276002cd4a7",
+        "records_offboard.jsonl":
+            "fe5ab957c165590dffb95f6c72d13d0efeb1af94787d464492c977ae6fd4fa94"}),
+    (["compare", "--scenario", "l2", "--runs", "2", "--seed", "6"], {
+        "metrics.csv": "55d30124f807f92112229f7c1392455644c269f69f430e42d3f592da3ed44e16",
+        "records_mission.jsonl":
+            "6bce16ec1d985b7137a1d9f22e2c252188e9f50091900103299f07ca72447f1e",
+        "records_offboard.jsonl":
+            "0e2b726f4c6675a6014919da0643981b6d188a9290b602b69ebae9c7ade31569",
+        "records_hybrid.jsonl":
+            "a46af472693bd0ed150133150baa4bac60e09e2bf99cb65d11741bab8b75927b"}),
+    (["heatmap", "--scenario", "l1", "--mode", "mission", "--runs", "3", "--seed", "8",
+      "--cell", "0.5"], {
+        "records_mission.jsonl":
+            "519b2bed8a6a6604e110189f7325912861f31837343a3bc60007ad883610ebd2",
+        "heatmap_mission.csv": "f6ab606c102535b12b73c7a79f61f17c748dc749737cf5c528aa1b11598cd8e5",
+        "heatmap_mission.pgm": "3322dce7fa6a76408bf3ecd858c2700a877a4990277d199c73b1812245777b38"}),
+]
+
+
+@pytest.mark.parametrize("args, hashes", BATCH_CASES, ids=[c[0][0] for c in BATCH_CASES])
+def test_seeded_batch_outputs_unchanged(tmp_path, capsys, args, hashes):
+    assert cli.cli_main(args + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == hashes

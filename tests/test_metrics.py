@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from skysearch.coverage import Rect
-from skysearch.metrics import (compute_metrics, export_heatmap, metrics_table,
-                               write_heatmap_csv, write_heatmap_pgm, write_metrics_csv)
+from skysearch.metrics import (compute_metrics, export_heatmap, heatmap_csv, heatmap_pgm,
+                               metrics_csv, metrics_table)
 from skysearch.missions import RunRecord
 
 VICTIMS = [(10.0, 3.0, 0.0)]
@@ -130,26 +130,20 @@ class TestHeatmap:
         _, n = ndimage.label(np.asarray(counts) >= 3)
         assert n == 2
 
-    def test_csv_and_pgm_outputs(self, tmp_path):
+    def test_csv_and_pgm_outputs(self):
         counts, xs, ys = export_heatmap([rec([(4.5, 6.5)])], self.BOUNDS, cell=1.0)
-        csv = tmp_path / "h.csv"
-        pgm = tmp_path / "h.pgm"
-        write_heatmap_csv(csv, counts, xs, ys)
-        write_heatmap_pgm(pgm, counts)
-        rows = csv.read_text().strip().splitlines()
+        rows = "".join(heatmap_csv(counts, xs, ys)).strip().splitlines()
         assert rows[0] == "x,y,count"
         assert len(rows) == 1 + 100
         assert sum(int(r.rsplit(",", 1)[1]) for r in rows[1:]) == 1
-        assert pgm.read_text().splitlines()[0] == "P2"
+        assert "".join(heatmap_pgm(counts)).splitlines()[0] == "P2"
 
 
 class TestTableAndCsv:
-    def test_csv_round_trip_matches_memory(self, tmp_path):
+    def test_csv_round_trip_matches_memory(self):
         records = [rec([(10.2, 3.1)], elapsed=120.0) for _ in range(4)]
         m = compute_metrics(records, VICTIMS)
-        path = tmp_path / "m.csv"
-        write_metrics_csv(path, [m])
-        header, row = path.read_text().strip().splitlines()
+        header, row = "".join(metrics_csv([m])).strip().splitlines()
         vals = dict(zip(header.split(","), row.split(",")))
         assert float(vals["tp_pct"]) == m.tp_pct
         assert float(vals["time_mean_s"]) == pytest.approx(m.time_mean_s)

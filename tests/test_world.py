@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from skysearch.configio import ConfigError
 from skysearch.geometry import CameraIntrinsics, EnuPoint
 from skysearch.missions import build_setup
-from skysearch.world import (DetectorProfile, GroundTruth, OccupancyGrid, WindProcess,
-                             builtin_scenarios, load_scenario, sense, thermal_profile)
+from skysearch.world import (_CONVERT, _KEYS, _SCENARIO_DIR, DetectorProfile, GroundTruth,
+                             OccupancyGrid, WindProcess, builtin_scenarios, load_scenario,
+                             sense, thermal_profile)
 
 CAM = CameraIntrinsics()
 
@@ -239,6 +240,19 @@ class TestScenarios:
         prof = sc.detector_profile()
         assert prof.modality == "thermal"
         assert prof.sigma_loc == 0.2
+
+    FLOAT_KEYS = [k for k, (_, _, convert) in _KEYS.items() if convert is _CONVERT["float"]]
+
+    # 16 keys loaded inf, 8 -inf and 4 nan; some then overflowed or
+    # failed an assertion mid-flight, others flew to a nonsense outcome
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_key_rejected(self, tmp_path, key, value):
+        assert len(self.FLOAT_KEYS) == 30
+        path = tmp_path / "bad.scn"
+        path.write_text((_SCENARIO_DIR / "l1.scn").read_text() + f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{path}: {key}: expected a finite number"):
+            load_scenario(path)
 
 
 # key -> tokens a valid line carries; the last six are misspelled or not keys
