@@ -350,14 +350,21 @@ class _Flight:
         terminal event: ``confirmed``, ``discarded``, ``cap``, ``timeout``,
         ``crash``, ``out`` or ``survey_done``. The model refills the belief
         after every real step, so it never runs empty."""
-        setup, cfg, rec = self.setup, self.cfg, self.rec
+        setup, cfg, rec, scfg = self.setup, self.cfg, self.rec, self.setup.solver_cfg
         model = GenerativeModel(cfg, setup.params, setup.cam,
                                 occupancy=self.truth.obstacles, cov_map=self.cov,
                                 prior_region=region, victim_prior=max(victim_prior, 1e-9))
-        belief = initial_belief(cfg, setup.solver_cfg.n_particles, self.rng_solver,
+        belief = initial_belief(cfg, scfg.n_particles, self.rng_solver,
                                 start=self.pose, region=region,
                                 victim_present_prior=victim_prior, detection=detection)
-        root = bootstrap(model, belief, setup.solver_cfg, self.rng_solver)
+        root = bootstrap(model, belief, scfg, self.rng_solver)
+        # while the belief holds a detection, closing in: spend more episodes,
+        # exploit harder and look just far enough ahead that the
+        # altitude-bonus gradient is not drowned by random-rollout noise; the
+        # remaining decision is a short descend-and-centre corridor
+        boosted = int(scfg.episodes_per_step * scfg.engaged_boost) or scfg.episodes_per_step
+        engaged_cfg = replace(scfg, episodes_per_step=boosted, ucb_c=scfg.ucb_c / 3.0,
+                              max_depth=min(scfg.max_depth, 4))
         self.t += cfg.dt  # offline bootstrap tick
         steps = 0
         while True:
@@ -368,19 +375,9 @@ class _Flight:
             allowed = _allowed_actions(self.pose, cfg, setup.cam)
             particles = root.belief.particles
             engaged = sum(p.f_dct for p in particles) >= 0.25 * len(particles)
-            scfg = setup.solver_cfg
-            episodes = scfg.episodes_per_step
-            if engaged:
-                # closing in: spend more episodes, exploit harder and look
-                # just far enough ahead that the altitude-bonus gradient is
-                # not drowned by random-rollout noise; the remaining
-                # decision is a short descend-and-centre corridor
-                episodes = int(episodes * scfg.engaged_boost)
-                scfg = replace(scfg, ucb_c=scfg.ucb_c / 3.0,
-                               max_depth=min(scfg.max_depth, 4))
             visits = root.n_visits
-            action = plan_step(root, model, scfg, self.rng_solver,
-                               allowed=allowed, episodes=episodes)
+            action = plan_step(root, model, engaged_cfg if engaged else scfg, self.rng_solver,
+                               allowed=allowed)
             episodes = root.n_visits - visits  # the episodes run, fewer under step_seconds
             planned_q = root.q_values()
             n_particles = len(root.belief.particles)
@@ -401,7 +398,7 @@ class _Flight:
                 rec.confirmations.append((self.t, obs.pv_x, obs.pv_y, obs.zeta))
                 rec.recorded.append((obs.pv_x, obs.pv_y))
                 return "confirmed"
-            root = advance_belief(root, action, obs, model, setup.solver_cfg, self.rng_solver)
+            root = advance_belief(root, action, obs, model, scfg, self.rng_solver)
             belief_now = root.belief
             rec.solver_trace.append({
                 "t": self.t, "action": ActionCmd(action).name,

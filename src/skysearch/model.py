@@ -385,7 +385,7 @@ def initial_belief(cfg: ModelConfig, n_particles: int, rng: Random, *,
             append(PomdpState(ux, uy, uz, False, False, True, vx, vy, True, dzeta))
         else:
             append(PomdpState(ux, uy, uz, False, False, False, vx, vy, present, 0.0))
-    return ParticleBelief(particles, target_size=n_particles)
+    return ParticleBelief(particles)
 
 
 def _sample_region(region: Rect, rng: Random) -> tuple[float, float]:

@@ -36,14 +36,14 @@ class BeliefCollapseError(RuntimeError):
 @dataclass
 class ParticleBelief:
     """Multiset of sampled states approximating the belief. Weights are
-    uniform; resampling keeps the population at ``target_size``.
+    uniform; ``advance_belief`` refills it to the solver config's
+    ``n_particles``.
 
     ``survival_rate`` is the fraction of particles that matched the latest
     real observation's bin.
     """
 
     particles: list
-    target_size: int
     survival_rate: float = 1.0
 
 
@@ -213,17 +213,16 @@ def _argmax_action(root: BeliefNode, actions) -> int:
 
 
 def plan_step(root: BeliefNode, model, cfg: SolverConfig, rng: Random,
-              allowed: list[int] | None = None, episodes: int | None = None) -> int:
-    """Run one planning round and return the best action at the root
-    (highest mean return, ties broken by lowest action index).
+              allowed: list[int] | None = None) -> int:
+    """Run one planning round of ``cfg.episodes_per_step`` episodes (or
+    ``cfg.step_seconds`` of wall time) and return the best action at the
+    root (highest mean return, ties broken by lowest action index).
 
     ``allowed`` restricts the root decision to the actions the motion
     server would actually accept (e.g. no set-points beyond the flying
     limits); deeper tree levels still search the full action set.
-    ``episodes`` overrides the per-step budget, e.g. to think harder while
-    closing in on a detection.
     """
-    _search(root, model, cfg, episodes or cfg.episodes_per_step, rng, allowed)
+    _search(root, model, cfg, cfg.episodes_per_step, rng, allowed)
     return _argmax_action(root, range(model.n_actions) if allowed is None else allowed)
 
 
@@ -242,8 +241,9 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
     reused when it exists. The belief is refilled by rejection: particles
     are resimulated through the step and kept when their simulated
     observation lands in the same bin as reality. Resampled survivors fill
-    all but a fresh share of the target, or only their own number when too
-    few survive; ``model.reinvigorate`` fills the rest with fresh states.
+    all but a fresh share of ``cfg.n_particles``, or only their own number
+    when too few survive; ``model.reinvigorate`` fills the rest with fresh
+    states.
     """
     key = model.obs_key_of(observed)
     edge = root.edges[taken]
@@ -257,7 +257,7 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
         s2, k2 = resimulate(s, taken, rng)
         if k2 == key:
             survivors.append(s2)
-    target = root.belief.target_size
+    target = cfg.n_particles
     rate = len(survivors) / target
     # a sliver of every refill comes from fresh observation-consistent
     # samples so the population cannot inbreed on stale hypotheses
@@ -277,7 +277,6 @@ def advance_belief(root: BeliefNode, taken: int, observed, model,
     donors = survivors or root.belief.particles
     particles += model.reinvigorate(observed, donors, target - len(particles), rng)
 
-    belief = ParticleBelief(particles, target_size=target, survival_rate=rate)
     new_root = child if child is not None else BeliefNode(model.n_actions)
-    new_root.belief = belief
+    new_root.belief = ParticleBelief(particles, survival_rate=rate)
     return new_root

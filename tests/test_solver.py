@@ -146,7 +146,7 @@ class RecordingModel:
 
 
 def chain_belief(n=2000):
-    return ParticleBelief([2] * n, target_size=n)
+    return ParticleBelief([2] * n)
 
 
 def allowed_masks(n_actions):
@@ -322,9 +322,9 @@ class TestExpansionOrder:
     def test_nodes_below_the_root_try_actions_in_index_order(self, monkeypatch):
         monkeypatch.setattr(solver, "_rollout", lambda *args: 0.0)
         model = RecordingModel()
-        root = BeliefNode(model.n_actions, ParticleBelief([()], target_size=1))
-        plan_step(root, model, SolverConfig(max_depth=3, ucb_c=1.0), Random(3),
-                  episodes=400)
+        root = BeliefNode(model.n_actions, ParticleBelief([()]))
+        plan_step(root, model, SolverConfig(episodes_per_step=400, max_depth=3, ucb_c=1.0),
+                  Random(3))
         below = {s for s, _ in model.calls if s}
         n = model.n_actions
         for s in below:
@@ -335,16 +335,16 @@ class TestExpansionOrder:
     def test_reused_root_tries_untried_allowed_actions_first(self, monkeypatch):
         monkeypatch.setattr(solver, "_rollout", lambda *args: 0.0)
         model = RecordingModel()
-        cfg = SolverConfig(max_depth=3)
+        cfg = SolverConfig(max_depth=3, n_particles=1)
         rng = Random(5)
-        root = BeliefNode(model.n_actions, ParticleBelief([()], target_size=1))
+        root = BeliefNode(model.n_actions, ParticleBelief([()]))
         # three episodes through action 0: its child is then visited twice
         # below the root and has tried actions 0 and 1
-        plan_step(root, model, cfg, rng, allowed=[0], episodes=3)
+        plan_step(root, model, replace(cfg, episodes_per_step=3), rng, allowed=[0])
         root = advance_belief(root, 0, (0,), model, cfg, rng)
         assert [a for a, e in enumerate(root.edges) if e is not None] == [0, 1]
         model.calls.clear()
-        plan_step(root, model, cfg, rng, allowed=[1, 2, 4], episodes=20)
+        plan_step(root, model, replace(cfg, episodes_per_step=20), rng, allowed=[1, 2, 4])
         tried = model.tried((0,))
         assert tried[:2] == [2, 4]
         assert set(tried) == {1, 2, 4}
@@ -370,7 +370,7 @@ class TestBootstrap:
 class TestAdvanceBelief:
     def test_subtree_reuse_keeps_statistics(self):
         model = ChainModel()
-        cfg = SolverConfig(episodes_per_step=800, ucb_c=20.0)
+        cfg = SolverConfig(episodes_per_step=800, ucb_c=20.0, n_particles=200)
         root = BeliefNode(3, chain_belief(200))
         plan_step(root, model, cfg, Random(0))
         child = root.edges[ChainModel.LEFT].children.get(1)
@@ -382,7 +382,7 @@ class TestAdvanceBelief:
 
     def test_deterministic_model_full_survival(self):
         model = ChainModel()
-        cfg = SolverConfig(episodes_per_step=50, ucb_c=20.0)
+        cfg = SolverConfig(episodes_per_step=50, ucb_c=20.0, n_particles=200)
         root = BeliefNode(3, chain_belief(200))
         plan_step(root, model, cfg, Random(0))
         new_root = advance_belief(root, ChainModel.STAY, 2, model, cfg, Random(1))
@@ -446,8 +446,9 @@ class TestAdvanceBelief:
             return [obs] * n
 
         model.reinvigorate = reinvigorate
-        cfg = SolverConfig(reinvig_frac=reinvig_frac, refresh_frac=refresh_frac)
-        root = BeliefNode(model.n_actions, ParticleBelief(particles, target_size=target))
+        cfg = SolverConfig(n_particles=target, reinvig_frac=reinvig_frac,
+                           refresh_frac=refresh_frac)
+        root = BeliefNode(model.n_actions, ParticleBelief(particles))
         belief = advance_belief(root, taken, observed, model, cfg, Random(seed)).belief
         assert len(belief.particles) == target
         assert 0.0 <= belief.survival_rate <= 1.0
@@ -460,14 +461,15 @@ class TestAdvanceBelief:
 
 
 def toy_model(kind):
-    """One of the three toy models, with a belief to search from."""
+    """One of the three toy models, with a belief to search from; a refill
+    restores the belief's own size."""
     if kind == "recording":
-        return RecordingModel(3), ParticleBelief([()], target_size=1)
+        return RecordingModel(3), ParticleBelief([()])
     return (ChainModel() if kind == "chain" else BanditModel()), chain_belief(5)
 
 
 def copied(belief):
-    return ParticleBelief(list(belief.particles), target_size=belief.target_size)
+    return ParticleBelief(list(belief.particles))
 
 
 def realised_key(root, action, model):
@@ -496,11 +498,12 @@ class TestAgainstRecursiveReference:
            seed=st.integers(0, 2**32))
     def test_toy_models(self, kind, rounds, max_depth, ucb_c, seed):
         model, belief = toy_model(kind)
-        cfg = SolverConfig(max_depth=max_depth, ucb_c=ucb_c)
+        cfg = SolverConfig(max_depth=max_depth, ucb_c=ucb_c, n_particles=len(belief.particles))
         got, ref = BeliefNode(model.n_actions, belief), BeliefNode(model.n_actions, copied(belief))
         got_rng, ref_rng = Random(seed), Random(seed)
         for episodes, allowed in rounds:
-            action = plan_step(got, model, cfg, got_rng, allowed=allowed, episodes=episodes)
+            action = plan_step(got, model, replace(cfg, episodes_per_step=episodes), got_rng,
+                               allowed=allowed)
             reference_search(ref, model, cfg, episodes, ref_rng, allowed)
             assert_same_tree(got, ref)
             assert got_rng.getstate() == ref_rng.getstate()
@@ -612,8 +615,8 @@ class TestDraws:
     def test_particle_draw_is_random_choice(self, n):
         model, particles = FirstStates(), list(range(n))
         rng, by_choice, by_randrange = Random(n), Random(n), Random(n)
-        plan_step(BeliefNode(1, ParticleBelief(particles, target_size=n)), model,
-                  SolverConfig(), rng, episodes=300)
+        plan_step(BeliefNode(1, ParticleBelief(particles)), model,
+                  SolverConfig(episodes_per_step=300), rng)
         assert model.states == [by_choice.choice(particles) for _ in range(300)]
         assert model.states == [by_randrange.randrange(n) for _ in range(300)]
         assert rng.getstate() == by_choice.getstate() == by_randrange.getstate()
@@ -622,8 +625,8 @@ class TestDraws:
     def test_rollout_draw_is_random_choice(self, n):
         model = Unfolding(n)
         rng, by_choice, by_randrange = Random(n), Random(n), Random(n)
-        plan_step(BeliefNode(n, ParticleBelief([0], target_size=1)), model,
-                  SolverConfig(max_depth=300), rng, episodes=1)
+        plan_step(BeliefNode(n, ParticleBelief([0])), model,
+                  SolverConfig(episodes_per_step=1, max_depth=300), rng)
         by_choice.choice([0])  # the particle draw
         by_randrange.randrange(1)
         assert model.rolled == [by_choice.choice(range(n)) for _ in range(299)]
@@ -633,9 +636,9 @@ class TestDraws:
     def test_survivor_resample_is_random_randrange(self):
         # n survivors of a belief whose target is n + 201: no fresh share
         # beyond the one particle, so 200 survivors are resampled
-        cfg = SolverConfig(reinvig_frac=0.0, refresh_frac=0.0)
         for n in range(1, 301):
-            root = BeliefNode(1, ParticleBelief(list(range(n)), target_size=n + 201))
+            cfg = SolverConfig(n_particles=n + 201, reinvig_frac=0.0, refresh_frac=0.0)
+            root = BeliefNode(1, ParticleBelief(list(range(n))))
             rng, by_randrange = Random(n), Random(n)
             particles = advance_belief(root, 0, 0, Survivors(), cfg, rng).belief.particles
             assert particles[:n] == list(range(n)) and particles[-1] is None
@@ -647,7 +650,7 @@ class TestDraws:
         # a bounded draw below 0 would take ``getrandbits(0)``, which is
         # always 0, forever
         with pytest.raises(IndexError):
-            plan_step(BeliefNode(3, ParticleBelief([], target_size=1)), ChainModel(),
+            plan_step(BeliefNode(3, ParticleBelief([])), ChainModel(),
                       SolverConfig(step_seconds=step_seconds), Random(0))
 
 
@@ -673,7 +676,7 @@ class TestConfigValidation:
         # it once for its deadline, then after every 64th episode
         model = ChainModel()
         root = BeliefNode(3, chain_belief())
-        plan_step(root, model, SolverConfig(ucb_c=20.0), Random(0), episodes=10)
+        plan_step(root, model, SolverConfig(episodes_per_step=10, ucb_c=20.0), Random(0))
         reads = []
 
         def monotonic():
@@ -698,9 +701,9 @@ class TestSubtreeReuse:
     def test_realised_child_keeps_every_statistic(self, kind, episodes, max_depth, ucb_c,
                                                   taken, seed, data):
         model, belief = toy_model(kind)
-        cfg = SolverConfig(max_depth=max_depth, ucb_c=ucb_c)
+        cfg = SolverConfig(max_depth=max_depth, ucb_c=ucb_c, n_particles=len(belief.particles))
         root = BeliefNode(model.n_actions, belief)
-        plan_step(root, model, cfg, Random(seed), episodes=episodes)
+        plan_step(root, model, replace(cfg, episodes_per_step=episodes), Random(seed))
         edge = root.edges[taken]
         if edge is not None and edge.children:
             observed = data.draw(st.sampled_from(sorted(edge.children)))
@@ -751,7 +754,7 @@ class TestTreeInvariants:
         root, rng = BeliefNode(model.n_actions, belief), Random(seed)
         for episodes, allowed in rounds:
             before = root.n_visits
-            plan_step(root, model, cfg, rng, allowed=allowed, episodes=episodes)
+            plan_step(root, model, replace(cfg, episodes_per_step=episodes), rng, allowed=allowed)
             assert root.n_visits == before + episodes
             assert_tree_invariants(root, model, cfg)
 
