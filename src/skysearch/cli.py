@@ -3,6 +3,9 @@ metrics, three-mode comparisons (a batch per mode), heatmaps, footprints.
 
 Exit codes: 0 success, 2 configuration/usage error or an output path that
 cannot be written; a command that cannot write one of its files leaves none.
+Each command owns a set of file names and removes those of its set that it
+does not write: ``run`` a missing ``solver_trace.csv``, ``batch`` the other
+modes' ``records_<mode>.jsonl``.
 """
 
 from __future__ import annotations
@@ -79,15 +82,20 @@ def solver_trace_csv(rec: RunRecord) -> Iterator[str]:
                f"{row['episodes']},{row['survival']:.4f},{qs}\n")
 
 
-def _write(out: Path, files: dict[str, Iterable[str]]) -> None:
-    """Write each ``name -> lines`` under ``out`` in order, all or none: on
-    any error the files this call opened are removed and the error re-raised."""
+def _write(out: Path, files: dict[str, Iterable[str] | None]) -> None:
+    """Write each ``name -> lines`` under ``out`` in order, then remove each
+    ``name -> None`` that an earlier run left. All or none: on any error the
+    files this call opened are removed and the error re-raised."""
     opened = []
     try:
         for name, lines in files.items():
-            with open(out / name, "w") as fh:
-                opened.append(out / name)
-                fh.writelines(lines)
+            if lines is not None:
+                with open(out / name, "w") as fh:
+                    opened.append(out / name)
+                    fh.writelines(lines)
+        for name, lines in files.items():
+            if lines is None:
+                (out / name).unlink(missing_ok=True)
     except BaseException:
         for path in opened:
             with contextlib.suppress(OSError):  # keep the original error
@@ -99,12 +107,11 @@ def _cmd_run(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
     rec = execute_run(build_setup(scenario, args.mode, scenario.seed))
-    files = {"trajectory.csv": trajectory_csv(rec),
-             "record.json": [json.dumps(rec.to_dict(), sort_keys=True, indent=1)]}
-    if rec.solver_trace:
-        files["solver_trace.csv"] = solver_trace_csv(rec)
     m = compute_metrics([rec], scenario.truth.victims, args.tolerance)
-    _write(out, {**files, "metrics.csv": metrics_csv([m])})
+    _write(out, {"trajectory.csv": trajectory_csv(rec),
+                 "record.json": [json.dumps(rec.to_dict(), sort_keys=True, indent=1)],
+                 "solver_trace.csv": solver_trace_csv(rec) if rec.solver_trace else None,
+                 "metrics.csv": metrics_csv([m])})
     print(f"{rec.mode} run seed={rec.seed}: {rec.outcome} in {rec.elapsed_s:.0f} s, "
           f"{len(rec.recorded)} coordinate(s) recorded, coverage {rec.coverage:.2f}")
     print(metrics_table([m]))
@@ -118,7 +125,8 @@ def _cmd_batch(args) -> int:
                for mode in ((args.mode,) if args.mode else MODES)}
     rows = [compute_metrics(records, scenario.truth.victims, args.tolerance)
             for records in batches.values()]
-    files = {f"records_{mode}.jsonl": records_jsonl(records) for mode, records in batches.items()}
+    files = {f"records_{mode}.jsonl": records_jsonl(batches[mode]) if mode in batches else None
+             for mode in MODES}
     _write(out, {**files, "metrics.csv": metrics_csv(rows)})
     print(metrics_table(rows))
     return 0

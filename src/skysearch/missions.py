@@ -362,7 +362,7 @@ class _Flight:
         # exploit harder and look just far enough ahead that the
         # altitude-bonus gradient is not drowned by random-rollout noise; the
         # remaining decision is a short descend-and-centre corridor
-        boosted = int(scfg.episodes_per_step * scfg.engaged_boost) or scfg.episodes_per_step
+        boosted = max(1, int(scfg.episodes_per_step * scfg.engaged_boost))
         engaged_cfg = replace(scfg, episodes_per_step=boosted, ucb_c=scfg.ucb_c / 3.0,
                               max_depth=min(scfg.max_depth, 4))
         self.t += cfg.dt  # offline bootstrap tick

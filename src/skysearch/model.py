@@ -159,10 +159,18 @@ class ModelConfig:
             raise ValueError("z_min must be below z_max")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("discount factor gamma must be in (0, 1]")
-        if not self.zeta_min < self.zeta <= 1.0:
-            raise ValueError("need zeta_min < zeta <= 1")
+        if not 0.0 <= self.zeta_min < self.zeta <= 1.0:
+            raise ValueError("need 0 <= zeta_min < zeta <= 1")
         if not self.dt > 0.0:
             raise ValueError("tick length dt must be positive")
+        if not self.t_max > 0.0:
+            raise ValueError("flight budget t_max must be positive")
+        if not (self.survey.width > 0.0 and self.survey.height > 0.0):
+            raise ValueError("survey must have a positive width and height")
+        if not 0.0 < self.coverage_done <= 1.0:
+            raise ValueError("survey completion ratio coverage_done must be in (0, 1]")
+        if not self.roi_slack >= 0.0:
+            raise ValueError("out-of-limits tolerance roi_slack must not be negative")
         if not self.conf_bin > 0.0:
             raise ValueError("confidence bin width conf_bin must be positive")
         if not 0.0 <= self.overlap < 1.0:
@@ -331,7 +339,7 @@ def generate_observation(s2: PomdpState, a: ActionCmd, cam: CameraIntrinsics,
         pv_y = s2.victim_y + _NORMAL[bits(16)] * sigma_xy
         zeta = zeta_bin(s2.c_v, cfg) * cfg.conf_bin
     obstacle = False
-    if occupancy is not None:
+    if occupancy is not None and s2.z > 0.0:  # no step to sweep at or below the ground
         dx, dy, dz = action_displacement(a, s2.z, cam, cfg)
         obstacle = occupancy.ahead(s2.x, s2.y, s2.z, dx, dy, dz)
     return Observation(ox, oy, oz, s2.f_dct, pv_x, pv_y, zeta, obstacle)
@@ -431,7 +439,8 @@ class GenerativeModel:
         self.params = params
         self.cam = cam
         self.occupancy = occupancy
-        self.cov_map = cov_map if cov_map is not None else CoverageMap(cfg.survey)
+        self.cov_map = (cov_map if cov_map is not None
+                        else CoverageMap(cfg.survey, cell_size=cfg.obs_cell))
         self.prior_region = prior_region if prior_region is not None else cfg.survey
         self.victim_prior = victim_prior
         self.n_actions = len(ActionCmd)
@@ -483,9 +492,10 @@ class GenerativeModel:
             det = None
         obstacle = False
         occ = self.occupancy
-        # a step sweeps no lower than one climb step down, and nothing is
-        # occupied at or above the grid's top
-        if occ is not None and z - self._climb < occ.top_z:
+        # a step sweeps no lower than one climb step down, nothing is
+        # occupied at or above the grid's top, and no step is swept at or
+        # below the ground
+        if occ is not None and z - self._climb < occ.top_z and z > 0.0:
             dx, dy, dz = action_displacement(a, z, self.cam, self.cfg)
             obstacle = occ.ahead(x, y, z, dx, dy, dz)
         return floor(ox / cell), floor(oy / cell), floor(oz / cell), det, obstacle

@@ -22,6 +22,7 @@ one fresh particle from ``reinvigorate``, so it is required.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from random import Random
@@ -92,8 +93,12 @@ class SolverConfig:
             raise ValueError("exploration constant ucb_c must be finite and non-negative")
         if not (0.0 <= self.reinvig_frac <= 1.0 and 0.0 <= self.refresh_frac <= 1.0):
             raise ValueError("reinvig_frac and refresh_frac must be in [0, 1]")
-        if not 0.0 < self.engaged_boost < math.inf:
-            raise ValueError("episode multiplier engaged_boost must be finite and positive")
+        # the engaged budget is a float product; a budget past the float range
+        # would overflow converting to float, so it is not multiplied
+        if not (self.episodes_per_step <= sys.float_info.max
+                and 0.0 < self.engaged_boost * self.episodes_per_step < math.inf):
+            raise ValueError("episode multiplier engaged_boost must be positive, with "
+                             "episodes_per_step * engaged_boost finite")
         if self.step_seconds is not None and not 0.0 < self.step_seconds < math.inf:
             raise ValueError("wall-clock budget step_seconds must be finite and positive "
                              "when set")

@@ -50,6 +50,15 @@ class TestRun:
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "record.json").read_bytes() == (b / "record.json").read_bytes()
 
+    def test_a_run_removes_the_trace_an_earlier_run_left(self, tmp_path):
+        # a mission run writes no solver trace; the offboard run's stayed
+        # beside the mission record and read as its trace
+        for mode, seed in (("offboard", "3"), ("mission", "7")):
+            assert cli.cli_main(["run", "--scenario", "l1", "--mode", mode, "--seed", seed,
+                                 "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "metrics.csv", "record.json", "trajectory.csv"]
+
     def test_paper_literal_confidence_scenario_key(self, tmp_path):
         # the distance-increasing confidence model is picked in the scenario
         # file; at seed 1 it flies the l1 offboard run differently
@@ -93,6 +102,14 @@ class TestBatchAndCompare:
         row = (tmp_path / "metrics.csv").read_text().strip().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(m.tp_pct)
         assert float(row[3]) == pytest.approx(m.fp_pct)
+
+    def test_batch_removes_the_records_a_compare_left(self, tmp_path):
+        # the offboard and hybrid records stayed beside a one-row metrics.csv
+        for args in (["compare"], ["batch", "--mode", "mission"]):
+            assert cli.cli_main(args + ["--scenario", "l1", "--runs", "1",
+                                        "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "metrics.csv", "records_mission.jsonl"]
 
     @pytest.mark.parametrize("mode", cli.MODES)
     def test_worker_pool_matches_serial(self, mode):
@@ -162,6 +179,25 @@ class TestWrite:
         with pytest.raises(RuntimeError, match="render failed"):
             cli._write(tmp_path, {"a.csv": ["a\n"], "b.csv": self.broken(), "c.csv": ["c\n"]})
         assert [p.name for p in tmp_path.iterdir()] == ["earlier.csv"]
+
+    def test_a_none_entry_removes_an_earlier_file(self, tmp_path):
+        (tmp_path / "stale.csv").write_text("old\n")
+        cli._write(tmp_path, {"a.csv": ["a\n"], "stale.csv": None, "gone.csv": None})
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_a_stale_file_that_cannot_be_removed_undoes_the_write(self, tmp_path,
+                                                                 monkeypatch):
+        (tmp_path / "stale.csv").write_text("old\n")
+        unlink = Path.unlink
+
+        def refuse_stale(path, missing_ok=False):
+            if path.name == "stale.csv":
+                raise PermissionError(13, "Permission denied", str(path))
+            unlink(path, missing_ok)
+        monkeypatch.setattr(Path, "unlink", refuse_stale)
+        with pytest.raises(PermissionError):
+            cli._write(tmp_path, {"a.csv": ["a\n"], "stale.csv": None})
+        assert [p.name for p in tmp_path.iterdir()] == ["stale.csv"]
 
     def test_a_failed_clean_up_keeps_the_original_error(self, tmp_path, monkeypatch):
         def unlink(path, missing_ok=False):
@@ -242,6 +278,15 @@ class TestExitCodes:
         "move_noise_z_negative": ("offboard", "move_noise_z = -0.2"),
         "est_noise_negative": ("offboard", "est_noise_xy = -1"),
         "est_noise_z_negative": ("offboard", "est_noise_z = -0.05"),
+        # an OverflowError traceback once a step engaged
+        "engaged_boost_overflow": ("offboard", "engaged_boost = 1e308"),
+        # each flew nonsense: 600 s for coverage 0.00, a 4 s flight, a survey
+        # complete at 8 s, and (both) a timeout in place of a confirmation
+        "survey_zero_width": ("offboard", "survey = 0 0 0 6"),
+        "t_max": ("offboard", "t_max = -10"),
+        "coverage_done": ("offboard", "coverage_done = 0"),
+        "roi_slack": ("offboard", "roi_slack = -3"),
+        "zeta_min": ("offboard", "zeta_min = -1"),
     }
 
     @pytest.mark.parametrize("case", BAD_LINES)
@@ -250,6 +295,20 @@ class TestExitCodes:
         assert self.run_with_override(tmp_path, mode, line) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and line.partition("=")[0].strip() in err
+
+    def test_zero_area_survey_rejected_before_any_flight(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # with no target to fall outside it, it loaded, and offboard flew
+        # 600 s for coverage 0.00; the survey row above fails on l1's targets
+        def fly(setup):
+            raise AssertionError("a flight started")
+        monkeypatch.setattr(cli, "execute_run", fly)
+        scn = tmp_path / "flat.scn"
+        scn.write_text("survey = 0 0 0 6\n")
+        code = cli.cli_main(["run", "--scenario", str(scn), "--mode", "offboard",
+                             "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "survey must have a positive width" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["ucb_c", "engaged_boost", "step_seconds"])
     def test_non_finite_solver_setting_rejected_before_any_flight(self, tmp_path, capsys,

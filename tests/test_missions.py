@@ -138,6 +138,14 @@ class TestOffboardMode:
         for row in rec.solver_trace:
             assert 64 <= row["episodes"] < 10**6
 
+    def test_engaged_budget_floors_at_one_episode(self):
+        # int(128 * 0.005) is 0, which restored the full 128-episode budget
+        # on every engaged step, while a boost of 0.01 gave them 1 episode
+        sc = load_scenario("l1")
+        sc.solver = replace(sc.solver, engaged_boost=0.005)
+        rec = execute_run(build_setup(sc, "offboard", 3))
+        assert {row["episodes"] for row in rec.solver_trace} == {1, sc.solver.episodes_per_step}
+
     @pytest.mark.parametrize("mode", ["mission", "offboard", "hybrid"])
     def test_first_tick_into_an_obstacle_crashes(self, mode):
         # one box fills the whole flying band, so the first real tick ends in it

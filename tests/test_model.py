@@ -336,6 +336,10 @@ class TestObservation:
            victim_in_view=st.booleans(), a=st.sampled_from(list(ActionCmd)),
            seed=st.integers(0, 2**32), est_noise_xy=st.sampled_from([0.0, 0.1, 3.0]),
            est_noise_z=st.sampled_from([0.0, 0.05, 2.0]))
+    # the motion noise carries this pose below the ground, where the key's
+    # obstacle probe raised on the horizontal step length
+    @example(x=0.0, y=0.0, z=0.5, victim_in_view=False, a=ActionCmd.FORWARD, seed=8952443,
+             est_noise_xy=0.0, est_noise_z=0.0)
     @settings(max_examples=150, deadline=None)
     def test_an_unkeyed_step_takes_exactly_the_keys_draws(self, x, y, z, victim_in_view, a,
                                                           seed, est_noise_xy, est_noise_z):
@@ -406,6 +410,13 @@ class TestGenerativeStep:
         assert second.rect_overlap(40.0, 1.0, 44.0, 5.0) == 0.0
         cov.stamp_rect(20.0, 1.0, 24.0, 5.0)  # the live map moves on between plans
         assert model.new_scratch().cells == cov.cells
+
+    def test_default_coverage_map_uses_obs_cell(self):
+        # at the default 0.5 m cells this survey needs 2.46e7, past the raster bound
+        cfg = replace(CFG, survey=Rect(0.0, 0.0, 6000.0, 1000.0), obs_cell=2.0)
+        model = GenerativeModel(cfg, RP, CAM)
+        assert model.cov_map.cell_size == 2.0
+        assert model.cov_map.survey == cfg.survey
 
     @pytest.mark.parametrize("kind", STARTS)
     def test_step_matches_reference_composition(self, kind):
@@ -704,6 +715,17 @@ class TestConfigIO:
             ModelConfig(gamma=0.0)
         with pytest.raises(ValueError):
             ModelConfig(zeta=0.05)  # below zeta_min
+
+    # each loaded and flew nonsense: no coverage, a 4 s flight, a survey
+    # complete at once, a flight that never confirmed, a confidence of -1
+    @pytest.mark.parametrize("bad", [{"survey": Rect(0.0, 0.0, 0.0, 6.0)},
+                                     {"survey": Rect(0.0, 0.0, 60.0, 0.0)},
+                                     {"t_max": 0.0}, {"t_max": -10.0},
+                                     {"coverage_done": 0.0}, {"coverage_done": 1.5},
+                                     {"roi_slack": -3.0}, {"zeta_min": -1.0}])
+    def test_out_of_range_value_rejected_naming_it(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ModelConfig(**bad)
 
 
 class TestActionSpace:

@@ -661,6 +661,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(max_depth=0)
 
+    # 1e308 ended the first engaged step in an OverflowError; 10**400
+    # episodes overflow converting to float
+    @pytest.mark.parametrize("episodes, boost", [(128, 1e308), (10**400, 4.0),
+                                                 (10**400, 1e-300)],
+                             ids=["boost_1e308", "episodes_1e400", "episodes_1e400_boost_1e-300"])
+    def test_engaged_budget_must_be_finite(self, episodes, boost):
+        with pytest.raises(ValueError, match="engaged_boost"):
+            SolverConfig(episodes_per_step=episodes, engaged_boost=boost)
+
     def test_wall_clock_mode_stops(self):
         import time
         model = ChainModel()
