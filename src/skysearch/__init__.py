@@ -14,7 +14,7 @@ from .geometry import (CameraIntrinsics, EnuPoint, Footprint, footprint_corners_
 from .metrics import Metrics, compute_metrics, export_heatmap
 from .missions import RunRecord, build_setup, execute_run, lawnmower_waypoints
 from .model import (ActionCmd, GenerativeModel, ModelConfig, Observation, PomdpState,
-                    RewardParams, generate_observation, initial_belief, reward, transition)
+                    RewardParams, initial_belief, reward, transition)
 from .solver import (BeliefNode, ParticleBelief, SolverConfig, advance_belief, bootstrap,
                      plan_step)
 from .world import (DetectorProfile, GroundTruth, OccupancyGrid, Scenario,

@@ -71,6 +71,7 @@ _ACTIONS = tuple(ActionCmd)
 _FORWARD, _BACKWARD, _LEFT, _RIGHT, _UP, _DOWN, _HOVER = _ACTIONS
 # ``_tuple_new(PomdpState, fields)`` skips the NamedTuple's Python-level ``__new__``
 _tuple_new = tuple.__new__
+_floor, _ceil = math.floor, math.ceil  # floor and ceil of a float already give an int
 
 
 class PomdpState(NamedTuple):
@@ -321,30 +322,6 @@ def zeta_bin(zeta: float, cfg: ModelConfig) -> int:
     return int(round(zeta / cfg.conf_bin))
 
 
-def generate_observation(s2: PomdpState, a: ActionCmd, cam: CameraIntrinsics,
-                         cfg: ModelConfig, occupancy, rng: Random) -> Observation:
-    """Modeled observation for the planner: noisy self-position estimate;
-    the detection flag and confidence carried by the post-transition state
-    (footprint containment of the victim hypothesis and the modeled
-    confidence curve); on detection, a noisy victim position. Confidence is
-    discretized to the observation bins."""
-    bits = rng.getrandbits
-    sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
-    ox = s2.x + (_NORMAL[bits(16)] * sigma_xy if sigma_xy > 0 else 0.0)
-    oy = s2.y + (_NORMAL[bits(16)] * sigma_xy if sigma_xy > 0 else 0.0)
-    oz = s2.z + (_NORMAL[bits(16)] * sigma_z if sigma_z > 0 else 0.0)
-    pv_x = pv_y = zeta = None
-    if s2.f_dct:
-        pv_x = s2.victim_x + _NORMAL[bits(16)] * sigma_xy
-        pv_y = s2.victim_y + _NORMAL[bits(16)] * sigma_xy
-        zeta = zeta_bin(s2.c_v, cfg) * cfg.conf_bin
-    obstacle = False
-    if occupancy is not None and s2.z > 0.0:  # no step to sweep at or below the ground
-        dx, dy, dz = action_displacement(a, s2.z, cam, cfg)
-        obstacle = occupancy.ahead(s2.x, s2.y, s2.z, dx, dy, dz)
-    return Observation(ox, oy, oz, s2.f_dct, pv_x, pv_y, zeta, obstacle)
-
-
 def obs_key(obs: Observation, cfg: ModelConfig) -> tuple:
     """Discretized identity of an observation for tree branching and belief
     rejection: position bins at coverage-cell size, confidence bins of
@@ -413,13 +390,28 @@ class GenerativeModel:
     start of each search episode.
 
     Assumes zero yaw (no heading actions), which keeps every footprint an
-    axis-aligned rectangle. ``step`` moves the pose itself, with the motion
-    of ``transition`` inlined, and builds the observation key inline; both
-    are property-tested identical to ``transition`` and
-    ``obs_key(generate_observation(...))``, draw for draw. The inlining keeps
-    the per-step cost low enough for desk-scale batches. ``transition``
-    stays the reference, and the motion that ``resimulate`` and the real
-    tick use.
+    axis-aligned rectangle. ``step``, the planner's imagined step, is one
+    fused call: it writes out ``transition``'s motion, the proximity
+    confidence curve, the terminal rule, the observation key and the scratch
+    raster's read and stamp, because each call it saves is paid on every
+    step of every search episode. Tests pin each inlined piece to its
+    reference, draw for draw (``tests/test_model.py``):
+    ``test_step_matches_reference_composition`` and
+    ``test_step_matches_reference_on_drawn_poses`` (both confidence curves,
+    coarse and fine cells) compare whole steps against ``transition``, the
+    reference observation and its ``obs_key``, ``is_terminal``'s rule and
+    ``CoverageMap``'s footprint overlap and stamp;
+    ``test_inline_key_matches_reference_observation`` pins
+    ``_observe_key``, the key of ``resimulate``, to the same observation; and
+    ``test_belief_update_moves_as_the_search_does`` pins the step's key and
+    draws to ``resimulate``'s. ``transition`` stays the motion that
+    ``resimulate`` and the real tick use.
+
+    Two calls stay calls: ``step`` calls ``reward`` and ``resimulate`` calls
+    ``transition``, each through this module's global. The benchmark's tracer
+    (``perfbench/tracing.py``) wraps both bindings to time the reward and
+    the motion layers, and a traced run fails when a wrapped call site is
+    never reached.
 
     ``prior_region`` and ``victim_prior`` describe where victim hypotheses
     live when the belief has to be reinvigorated: the survey rectangle for
@@ -461,11 +453,20 @@ class GenerativeModel:
         self._cell, self._conf_bin = cfg.obs_cell, cfg.conf_bin
         self._est_noise = cfg.est_noise_xy, cfg.est_noise_z
         self._pose_bits = 32 * ((2 if cfg.est_noise_xy > 0 else 0) + (cfg.est_noise_z > 0))
-        # the calls ``step`` makes through the model, two of them on the scratch map
+        # and the ones of the terminal rule and the proximity confidence
+        # curve; ``_proximity`` is None when the paper-literal curve, a call
+        # through ``_confidence``, is selected
+        self._zeta = cfg.zeta
         self._confidence = confidence_model(cfg)
-        self._scratch = self.cov_map.snapshot()
-        self._stamp_rect = self._scratch.stamp_rect
-        self._overlap_then_stamp = self._scratch.overlap_then_stamp
+        self._proximity = (None if cfg.paper_literal_confidence else
+                           (cfg.zeta_min, 1.0 - cfg.zeta_min, cfg.z_min, cfg.z_max,
+                            cfg.z_max - cfg.z_min))
+        # and the scratch raster's geometry and its block-mask cache, shared
+        # with the live map, for the window ``step`` reads and stamps
+        scratch = self._scratch = self.cov_map.snapshot()
+        self._raster = (scratch.origin_x, scratch.origin_y, scratch.cell_size,
+                        scratch.nx, scratch.ny)
+        self._blocks = scratch._blocks
 
     def new_scratch(self) -> CoverageMap:
         """Reset the scratch map to the live map and return it."""
@@ -474,8 +475,10 @@ class GenerativeModel:
         return scratch
 
     def _observe_key(self, s2: PomdpState, a: ActionCmd, rng: Random) -> tuple:
-        """Observation bin of ``generate_observation`` without building the
-        Observation object (identical fields, identical draw order)."""
+        """The key ``resimulate`` gives: ``obs_key`` of the modeled
+        observation of ``s2`` (``generate_observation`` in the tests), drawn
+        in its order without building the Observation. ``step`` inlines the
+        same body."""
         cell = self._cell
         sigma_xy, sigma_z = self._est_noise
         bits = rng.getrandbits
@@ -503,13 +506,21 @@ class GenerativeModel:
     def step(self, s: PomdpState, a: int, rng: Random, keyed: bool = True):
         """Sample (next state, observation key, reward, terminal).
 
-        The motion is ``transition``'s, inlined with its float operations and
-        draw order, so one footprint serves the detection test and the
-        coverage window. A rollout (``keyed`` false) or terminal step keeps
-        the key's draws but returns ``None``. Only ``reward``'s exploration
-        branch reads the footprint overlap and the victim distance, so a
-        detecting step skips them. Every live step stamps the scratch map:
-        the episode's later imagined steps read it."""
+        One imagined step, fused into one call. Inline, with the float
+        operations and draw order of the pieces they stand for, it runs:
+        ``transition``'s motion; the default proximity confidence curve
+        (``confidence_proximity``; the paper-literal curve stays a call); the
+        terminal rule of ``is_terminal``; the key ``_observe_key`` builds; and
+        the scratch raster's window as ``CoverageMap._rect_mask`` clips it,
+        with the cached block shifted into place, one ``|`` to stamp it and one
+        ``&`` to read the footprint overlap. One footprint serves the
+        detection test and that window.
+
+        A rollout (``keyed`` false) or terminal step keeps the key's draws but
+        returns ``None``. Only ``reward``'s exploration branch reads the
+        footprint overlap and the victim distance, so a detecting step skips
+        them. Every live step stamps the scratch map: the episode's later
+        imagined steps read it."""
         cfg = self.cfg
         act = _ACTIONS[a]
         x, y, z, _, _, _, vx, vy, present, _ = s
@@ -546,23 +557,61 @@ class GenerativeModel:
             y0, y1 = y + h * bottom, y + h * top
             if present and x0 <= vx <= x1 and y0 <= vy <= y1:
                 f_dct = True
-                c_v = self._confidence(abs(x - vx) + abs(y - vy) + z, cfg)
+                d = abs(x - vx) + abs(y - vy) + z
+                if self._proximity is None:
+                    c_v = self._confidence(d, cfg)
+                else:  # ``confidence_proximity(d, cfg)``
+                    zeta_min, gain, z_min, z_max, span = self._proximity
+                    d = z_min if d < z_min else (z_max if d > z_max else d)
+                    c_v = zeta_min + gain * (z_max - d) / span
         s2 = _tuple_new(PomdpState, (x, y, z, f_crash, f_roi, f_dct, vx, vy, present, c_v))
-        terminal = self.is_terminal(s2)
-        if terminal or not keyed:  # draw the words ``_observe_key`` would, in one call
+        terminal = c_v >= self._zeta or f_crash or f_roi
+        if terminal or not keyed:  # draw the words the key would, in one call
             bits(self._pose_bits + 64 if f_dct else self._pose_bits)
             key = None
-        else:
-            key = self._observe_key(s2, act, rng)
+        else:  # ``_observe_key(s2, act, rng)``
+            cell = self._cell
+            sigma_xy, sigma_z = self._est_noise
+            ox = x + (_NORMAL[bits(16)] * sigma_xy if sigma_xy > 0 else 0.0)
+            oy = y + (_NORMAL[bits(16)] * sigma_xy if sigma_xy > 0 else 0.0)
+            oz = z + (_NORMAL[bits(16)] * sigma_z if sigma_z > 0 else 0.0)
+            if f_dct:
+                pv_x = vx + _NORMAL[bits(16)] * sigma_xy
+                pv_y = vy + _NORMAL[bits(16)] * sigma_xy
+                det = (_floor(pv_x / cell), _floor(pv_y / cell), round(c_v / self._conf_bin))
+            else:
+                det = None
+            obstacle = False
+            if occ is not None and z - self._climb < occ.top_z and z > 0.0:
+                dx, dy, dz = action_displacement(act, z, self.cam, cfg)
+                obstacle = occ.ahead(x, y, z, dx, dy, dz)
+            key = _floor(ox / cell), _floor(oy / cell), _floor(oz / cell), det, obstacle
         d_w = self.d_w
         eps, d_v = 0.0, d_w
         if live:
-            if f_dct:
-                self._stamp_rect(x0, y0, x1, y1)
+            # the cells whose centres lie in the footprint, clipped to the raster
+            x_org, y_org, size, nx, ny = self._raster
+            c0 = _ceil((x0 - x_org) / size - 0.5)
+            c1 = _floor((x1 - x_org) / size - 0.5)
+            r0 = _ceil((y0 - y_org) / size - 0.5)
+            r1 = _floor((y1 - y_org) / size - 0.5)
+            c0, r0 = (c0 if c0 > 0 else 0), (r0 if r0 > 0 else 0)
+            c1, r1 = (c1 if c1 < nx else nx - 1), (r1 if r1 < ny else ny - 1)
+            if c0 > c1 or r0 > r1:
+                eps = 1.0  # a view of no cell counts as fully seen
             else:
-                eps = self._overlap_then_stamp(x0, y0, x1, y1)
-                if present:
-                    d_v = abs(x - vx) + abs(y - vy)
+                rows, cols = r1 - r0 + 1, c1 - c0 + 1
+                block = self._blocks.get((rows, cols))
+                scratch = self._scratch
+                if block is None:
+                    block = scratch.block_mask(rows, cols)
+                mask = block << (r0 * nx + c0)
+                cells = scratch.cells
+                scratch.cells = cells | mask
+                if not f_dct:
+                    eps = (cells & mask).bit_count() / (rows * cols)
+            if not f_dct and present:
+                d_v = abs(x - vx) + abs(y - vy)
         r = reward(s2, act, eps, d_v, d_w, self.params, cfg)
         return s2, key, r, terminal
 
@@ -578,7 +627,8 @@ class GenerativeModel:
     def is_terminal(self, s: PomdpState) -> bool:
         """Terminal when confidence passes the confirmation threshold or the
         UAV crashed or left the flying limits. The clock and survey
-        completion belong to the flight loops."""
+        completion belong to the flight loops. ``step`` inlines the same rule
+        for the state it reaches."""
         return s.c_v >= self.cfg.zeta or s.f_crash or s.f_roi
 
     def reinvigorate(self, obs: Observation, donors, n: int, rng: Random) -> list:

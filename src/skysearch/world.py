@@ -326,6 +326,8 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
                     raise ValueError(f"expected {want} value(s), got {len(row)}")
             if key in _TABLES:
                 tables[key] = [tuple(map(_finite, row)) for row in rows]
+                if key == "survey":
+                    survey = Rect(*tables[key][-1])
             else:
                 section, name, convert = _KEYS[key]
                 for (token,) in rows:  # a repeated key: the last row wins
@@ -335,7 +337,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     if "survey" not in tables:
         raise ConfigError(f"{path}: scenario must define 'survey = xmin ymin xmax ymax'")
     try:
-        cfg = ModelConfig(survey=Rect(*tables["survey"][-1]), **values["model"])
+        cfg = ModelConfig(survey=survey, **values["model"])
         truth = GroundTruth(victims=tables.get("victim", []),
                             distractors=tables.get("distractor", []))
         if "wind" in tables:
@@ -352,7 +354,6 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         scenario = Scenario(truth=truth, cfg=cfg, solver=SolverConfig(**values["solver"]),
                             detector_overrides=values["detector"], **values["scenario"])
         scenario.detector_profile()  # checks the detector fields
-        survey = cfg.survey
         for vx, vy, _ in truth.victims + truth.distractors:
             if not survey.contains(vx, vy):
                 raise ValueError(f"target ({vx}, {vy}) outside the survey area")

@@ -283,6 +283,7 @@ class TestExitCodes:
         # each flew nonsense: 600 s for coverage 0.00, a 4 s flight, a survey
         # complete at 8 s, and (both) a timeout in place of a confirmation
         "survey_zero_width": ("offboard", "survey = 0 0 0 6"),
+        "survey_negative": ("offboard", "survey = 10 0 0 6"),  # named neither key nor row
         "t_max": ("offboard", "t_max = -10"),
         "coverage_done": ("offboard", "coverage_done = 0"),
         "roi_slack": ("offboard", "roi_slack = -3"),
@@ -294,7 +295,9 @@ class TestExitCodes:
         mode, line = self.BAD_LINES[case]
         assert self.run_with_override(tmp_path, mode, line) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and line.partition("=")[0].strip() in err
+        # the key must be named in the message, not only in the file's path
+        message = err.replace(str(tmp_path / "bad.scn"), "")
+        assert err.startswith("error:") and line.partition("=")[0].strip() in message
 
     def test_zero_area_survey_rejected_before_any_flight(self, tmp_path, capsys,
                                                          monkeypatch):

@@ -24,8 +24,8 @@ from skysearch.geometry import (CameraIntrinsics, EnuPoint, footprint_corners_wo
 from skysearch.model import (ActionCmd, GenerativeModel, ModelConfig, Observation,
                              PomdpState, RewardParams, action_displacement,
                              confidence_paper_literal, confidence_proximity,
-                             generate_observation, initial_belief,
-                             modeled_confidence, obs_key, reward, transition)
+                             initial_belief, modeled_confidence, obs_key, reward,
+                             transition, zeta_bin)
 from skysearch.world import OccupancyGrid, load_scenario
 
 CAM = CameraIntrinsics()
@@ -355,6 +355,29 @@ class TestObservation:
         assert skipped.getstate() == keyed.getstate()
 
 
+def generate_observation(s2, a, cam, cfg, occupancy, rng):
+    """The modeled observation of ``s2`` after action ``a``, the reference the
+    planner's observation keys are pinned to, draw for draw: a noisy
+    self-position estimate; the detection flag and confidence the state
+    carries; on detection, a noisy victim position, with the confidence
+    discretized to the observation bins; and the obstacle-ahead flag."""
+    bits = rng.getrandbits
+    sigma_xy, sigma_z = cfg.est_noise_xy, cfg.est_noise_z
+    ox = s2.x + (model_normal(bits) * sigma_xy if sigma_xy > 0 else 0.0)
+    oy = s2.y + (model_normal(bits) * sigma_xy if sigma_xy > 0 else 0.0)
+    oz = s2.z + (model_normal(bits) * sigma_z if sigma_z > 0 else 0.0)
+    pv_x = pv_y = zeta = None
+    if s2.f_dct:
+        pv_x = s2.victim_x + model_normal(bits) * sigma_xy
+        pv_y = s2.victim_y + model_normal(bits) * sigma_xy
+        zeta = zeta_bin(s2.c_v, cfg) * cfg.conf_bin
+    obstacle = False
+    if occupancy is not None and s2.z > 0.0:  # no step to sweep at or below the ground
+        dx, dy, dz = action_displacement(a, s2.z, cam, cfg)
+        obstacle = occupancy.ahead(s2.x, s2.y, s2.z, dx, dy, dz)
+    return Observation(ox, oy, oz, s2.f_dct, pv_x, pv_y, zeta, obstacle)
+
+
 def reference_step(s, a, cfg, scratch, rng, keyed=True):
     """``GenerativeModel.step`` composed from the reference pieces:
     transition, the full observation and its key (always drawn, reported
@@ -522,9 +545,17 @@ class TestGenerativeStep:
     @settings(max_examples=300, deadline=None)
     @given(pose=poses, victim=victims, a=st.integers(0, 6), cfg=configs,
            seed=st.integers(0, 2**32))
+    # a Down step over l1's 5 m tree that ends one climb step above the
+    # grid top, give or take 1e-9 m: the key's obstacle probe sees the tree
+    # from below that height and not from above it
+    @example(pose=(28.5, 5.5, 9.0 - 1e-9), victim=None, a=5, seed=0,
+             cfg=replace(CFG, move_noise_xy=0.0, move_noise_z=0.0))
+    @example(pose=(28.5, 5.5, 9.0 + 1e-9), victim=None, a=5, seed=0,
+             cfg=replace(CFG, move_noise_xy=0.0, move_noise_z=0.0))
     def test_belief_update_moves_as_the_search_does(self, pose, victim, a, cfg, seed):
         # resimulate (the belief update) and a keyed step (the search) share
-        # one motion and observation model, draw for draw
+        # one motion and observation model, draw for draw: the key the step
+        # builds inline is the key of ``_observe_key``
         model = GenerativeModel(cfg, RP, CAM, occupancy=L1_GRID)
         s = self.drawn_start(pose, victim)
         belief_rng, search_rng = Random(seed), Random(seed)

@@ -14,11 +14,11 @@ from skysearch import solver
 from skysearch.coverage import CoverageMap, Rect
 from skysearch.geometry import CameraIntrinsics, EnuPoint
 from skysearch.model import (ActionCmd, GenerativeModel, ModelConfig, Observation,
-                             PomdpState, RewardParams, generate_observation,
-                             initial_belief, transition)
+                             PomdpState, RewardParams, initial_belief, transition)
 from skysearch.solver import (BeliefNode, ParticleBelief, SolverConfig, advance_belief,
                               bootstrap, plan_step)
 from test_missions import short_flight
+from test_model import generate_observation
 
 
 class ChainModel:
