@@ -390,28 +390,20 @@ class GenerativeModel:
     start of each search episode.
 
     Assumes zero yaw (no heading actions), which keeps every footprint an
-    axis-aligned rectangle. ``step``, the planner's imagined step, is one
-    fused call: it writes out ``transition``'s motion, the proximity
-    confidence curve, the terminal rule, the observation key and the scratch
-    raster's read and stamp, because each call it saves is paid on every
-    step of every search episode. Tests pin each inlined piece to its
-    reference, draw for draw (``tests/test_model.py``):
+    axis-aligned rectangle. ``step`` is the planner's imagined step fused
+    into one call (see its docstring). Tests in ``tests/test_model.py`` pin
+    each inlined piece to its reference, draw for draw:
     ``test_step_matches_reference_composition`` and
     ``test_step_matches_reference_on_drawn_poses`` (both confidence curves,
-    coarse and fine cells) compare whole steps against ``transition``, the
-    reference observation and its ``obs_key``, ``is_terminal``'s rule and
-    ``CoverageMap``'s footprint overlap and stamp;
-    ``test_inline_key_matches_reference_observation`` pins
-    ``_observe_key``, the key of ``resimulate``, to the same observation; and
-    ``test_belief_update_moves_as_the_search_does`` pins the step's key and
-    draws to ``resimulate``'s. ``transition`` stays the motion that
-    ``resimulate`` and the real tick use.
-
-    Two calls stay calls: ``step`` calls ``reward`` and ``resimulate`` calls
-    ``transition``, each through this module's global. The benchmark's tracer
-    (``perfbench/tracing.py``) wraps both bindings to time the reward and
-    the motion layers, and a traced run fails when a wrapped call site is
-    never reached.
+    ``obs_cell`` 0.5 and 2.0) compare whole steps with ``transition``, the
+    reference observation's ``obs_key``, ``is_terminal``'s rule and
+    ``CoverageMap``'s overlap and stamp;
+    ``test_inline_key_matches_reference_observation`` pins ``_observe_key``,
+    and ``test_belief_update_moves_as_the_search_does`` pins the step's key
+    to it. ``step`` calls ``reward`` and ``resimulate`` calls ``transition``
+    through this module's globals rather than inline: the benchmark's tracer
+    (``perfbench/tracing.py``) wraps those two bindings, and a traced run
+    fails when a wrapped call site is never reached.
 
     ``prior_region`` and ``victim_prior`` describe where victim hypotheses
     live when the belief has to be reinvigorated: the survey rectangle for
@@ -506,16 +498,12 @@ class GenerativeModel:
     def step(self, s: PomdpState, a: int, rng: Random, keyed: bool = True):
         """Sample (next state, observation key, reward, terminal).
 
-        One imagined step, fused into one call. Inline, with the float
-        operations and draw order of the pieces they stand for, it runs:
-        ``transition``'s motion; the default proximity confidence curve
-        (``confidence_proximity``; the paper-literal curve stays a call); the
-        terminal rule of ``is_terminal``; the key ``_observe_key`` builds; and
-        the scratch raster's window as ``CoverageMap._rect_mask`` clips it,
-        with the cached block shifted into place, one ``|`` to stamp it and one
-        ``&`` to read the footprint overlap. One footprint serves the
-        detection test and that window.
-
+        One imagined step in one call: ``transition``'s motion, the proximity
+        confidence curve (the paper-literal curve stays a call), the terminal
+        rule of ``is_terminal``, the key of ``_observe_key`` and the scratch
+        window of ``CoverageMap._rect_mask`` (one ``|`` stamps it, one ``&``
+        reads its overlap) are written out with their float operations and
+        draw order. One footprint serves the detection test and the window.
         A rollout (``keyed`` false) or terminal step keeps the key's draws but
         returns ``None``. Only ``reward``'s exploration branch reads the
         footprint overlap and the victim distance, so a detecting step skips
